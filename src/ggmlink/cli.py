@@ -68,52 +68,68 @@ class ExperimentConfig:
                 raise ValueError(
                     f"{self.penalty_kind} gamma_grid entries must be scalars")
             vals = g if isinstance(g, tuple) else (g,)
-            if any(v <= 0 for v in vals):
-                raise ValueError("gamma_grid entries must be strictly positive")
+            # NaN and inf fail the comparison.
+            if not all(isinstance(v, (int, float)) and 0.0 < v < np.inf
+                       for v in vals):
+                raise ValueError("gamma_grid entries must be finite and positive")
         if self.score_variant not in predict.SCORE_VARIANTS:
             raise ValueError(f"unknown score_variant {self.score_variant!r}")
-        if self.t_r <= 0:
-            raise ValueError("t_r must be strictly positive")
+        if not (isinstance(self.t_r, (int, float)) and 0.0 < self.t_r < np.inf):
+            raise ValueError("t_r must be finite and strictly positive")
 
 
 _CONFIG_FIELDS = {"scenario", "N", "penalty_kind", "gamma_grid", "t_r",
                   "score_variant", "seeds", "solver", "output_dir"}
-_SCENARIO_FIELDS = {"dim", "edge_density", "n_add", "n_remove", "seed"}
+_SCENARIO_TYPES = {"dim": int, "edge_density": (int, float), "n_add": int,
+                   "n_remove": int, "seed": int}
+
+
+def _typed(value, types, name: str):
+    """``value`` if it is one of ``types``; a JSON boolean is no number."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{name} has the wrong type: {value!r}")
+    return value
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse a JSON experiment config; unknown fields are rejected."""
+    """Parse a JSON experiment config; unknown fields and values of the
+    wrong type are rejected."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        raw = _typed(json.load(fh), dict, "config")
     unknown = set(raw) - _CONFIG_FIELDS
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
     for req in ("scenario", "N", "penalty_kind", "seeds"):
         if req not in raw:
             raise ValueError(f"config is missing required field {req!r}")
-    sc_raw = raw["scenario"]
-    unknown = set(sc_raw) - _SCENARIO_FIELDS
+    sc_raw = _typed(raw["scenario"], dict, "scenario")
+    unknown = set(sc_raw) - set(_SCENARIO_TYPES)
     if unknown:
         raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
+    for name, types in _SCENARIO_TYPES.items():
+        if name not in sc_raw:
+            raise ValueError(f"scenario is missing required field {name!r}")
+        _typed(sc_raw[name], types, f"scenario.{name}")
     scenario = ScenarioSpec(**sc_raw)
-    kind = raw["penalty_kind"]
+    kind = _typed(raw["penalty_kind"], str, "penalty_kind")
     grid_raw = raw.get("gamma_grid")
     if grid_raw is None:
         if kind not in DEFAULT_GAMMA_GRIDS:
             raise ValueError(f"gamma_grid is required for penalty {kind!r}")
         grid_raw = DEFAULT_GAMMA_GRIDS[kind]
-    grid = tuple(tuple(g) if isinstance(g, (list, tuple)) else float(g)
-                 for g in grid_raw)
+    grid = tuple(tuple(g) if isinstance(g, list) else g
+                 for g in _typed(grid_raw, list, "gamma_grid"))
     return ExperimentConfig(
         scenario=scenario,
-        n=int(raw["N"]),
+        n=_typed(raw["N"], int, "N"),
         penalty_kind=kind,
-        seeds=tuple(int(s) for s in raw["seeds"]),
+        seeds=tuple(_typed(s, int, "seeds entry")
+                    for s in _typed(raw["seeds"], list, "seeds")),
         gamma_grid=grid,
-        t_r=float(raw.get("t_r", DEFAULT_THRESHOLD)),
+        t_r=raw.get("t_r", DEFAULT_THRESHOLD),
         score_variant=raw.get("score_variant", "partial_correlation"),
         solver=SolverConfig.from_dict(raw.get("solver", {})),
-        output_dir=raw.get("output_dir"),
+        output_dir=_typed(raw.get("output_dir"), (str, type(None)), "output_dir"),
     )
 
 
@@ -184,23 +200,15 @@ def _load_scenario(scenario_dir):
 # Fit
 # ---------------------------------------------------------------------------
 
-def _penalty_tag(penalty: PenaltySpec) -> str:
-    if penalty.kind == "plp":
-        return f"plp_{penalty.gamma_p:g}"
-    if penalty.kind == "nlp":
-        return f"nlp_{penalty.gamma_n:g}"
-    if penalty.kind == "mixed":
-        return f"mixed_{penalty.eta_p:g}_{penalty.eta_n:g}"
-    return "known"
-
-
 def _penalty_dict(penalty: PenaltySpec) -> dict:
-    out = {"kind": penalty.kind}
-    for name in ("gamma_p", "gamma_n", "eta_p", "eta_n"):
-        value = getattr(penalty, name)
-        if value is not None:
-            out[name] = value
-    return out
+    """The kind and its weights (PenaltySpec leaves the others None)."""
+    return {name: value for name, value in vars(penalty).items()
+            if value is not None and name != "omega"}
+
+
+def _penalty_tag(penalty: PenaltySpec) -> str:
+    weights = [f"{v:g}" for k, v in _penalty_dict(penalty).items() if k != "kind"]
+    return "_".join([penalty.kind] + weights)
 
 
 def cmd_fit(scenario_dir, penalty: PenaltySpec,
@@ -476,12 +484,9 @@ def _fit_penalty_from_args(args) -> PenaltySpec:
     if args.gamma is None:
         raise ValueError(f"--gamma is required for penalty {kind!r}")
     gamma = _parse_gamma(args.gamma)
-    if kind == "mixed":
-        if not isinstance(gamma, tuple):
-            raise ValueError("mixed penalty takes --gamma ETA_P,ETA_N")
-        return PenaltySpec.mixed(*gamma)
-    if isinstance(gamma, tuple):
-        raise ValueError(f"penalty {kind!r} takes a single --gamma value")
+    if isinstance(gamma, tuple) != (kind == "mixed"):
+        raise ValueError("mixed penalty takes --gamma ETA_P,ETA_N" if kind == "mixed"
+                         else f"penalty {kind!r} takes a single --gamma value")
     return _penalty_from_grid(kind, gamma)
 
 

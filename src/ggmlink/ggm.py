@@ -104,6 +104,8 @@ class ObservationSet:
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 2 or samples.shape[0] < 1:
             raise ValueError("samples must be a nonempty (N, m) array")
+        if not np.isfinite(samples).all():
+            raise ValueError("non-finite observations: samples hold NaN or inf")
         samples = samples.copy()
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)

@@ -102,8 +102,8 @@ def score_matrix(t_opt: SymmetricMatrix, variant: str = "partial_correlation",
 
 def threshold_support(r: ScoreMatrix, t_r: float) -> SupportPattern:
     """Off-diagonal pairs with |r_ij| > t_r, plus every diagonal pair."""
-    if t_r <= 0:
-        raise ValueError("threshold must be strictly positive")
+    if not 0.0 < t_r < np.inf:
+        raise ValueError("threshold must be finite and strictly positive")
     arr = np.abs(r.scores.to_array())
     dim = r.dim
     pairs = [(i, i) for i in range(1, dim + 1)]

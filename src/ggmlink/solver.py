@@ -1,20 +1,21 @@
 """First-order solvers for prior-anchored covariance estimation.
 
 All problems minimize, over the open cone Q_S = {L : S^-1 + L > 0}, the
-smooth dual functional
+smooth dual functional J(L) = -log det(S^-1 + L) + tr(T_hat L) plus one
+penalty that encodes the link-change hypothesis,
 
-    J(L) = -log det(S^-1 + L) + tr(T_hat L)
+    P(L) = sum_{i>j} W_ij |L_ij + A_ij|,  with L_ij = 0 on a fixed set F.
 
-plus a penalty that encodes the link-change hypothesis:
+The anchor A is S^-1 on the prior support and 0 off it, so an entry is
+either shrunk toward zero (an absent edge stays absent) or pulled toward
+the negated prior precision (K = S^-1 + L loses the edge). The kinds only
+choose W (0 where not listed) and F:
 
-  * known    -- L constrained to a given support (appearing/disappearing
-                edges known in advance); smooth projected gradient.
-  * plp      -- l1 on off-diagonal entries outside the prior support,
-                selecting appearing edges.
-  * nlp      -- L supported on the prior support (hard constraint), with l1
-                pulling each off-diagonal entry toward the negated prior
-                precision entry, selecting disappearing edges.
-  * mixed    -- both penalties with separate weights.
+  * known    -- F: pairs outside a given support; projected gradient.
+  * plp      -- W = gamma_p off the prior support: appearing edges.
+  * nlp      -- W = gamma_n on the prior's off-diagonal entries, F: pairs
+                off the prior support: disappearing edges.
+  * mixed    -- W = eta_p off the prior support and eta_n on it.
 
 The solution covariance is recovered as T_o = (S^-1 + L)^-1.
 
@@ -30,10 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .ggm import GaussianModel
-from .symmat import SupportPattern, SymmetricMatrix, _tril_of, support_of
+from .symmat import (SupportPattern, SymmetricMatrix, _chol_or_none,
+                     _sym_inv_from_chol, _tril_of, support_of)
 
 _STEP_FLOOR_FACTOR = 1e-18
 
@@ -66,8 +67,8 @@ class PenaltySpec:
             if name in active:
                 if value is None:
                     raise ValueError(f"penalty {self.kind!r} requires {name}")
-                if name != "omega" and value <= 0:
-                    raise ValueError(f"{name} must be strictly positive")
+                if name != "omega" and not 0.0 < value < np.inf:
+                    raise ValueError(f"{name} must be finite and strictly positive")
             elif value is not None:
                 raise ValueError(f"penalty {self.kind!r} does not take {name}")
 
@@ -96,7 +97,6 @@ class SolverConfig:
     backtrack_factor: float = 0.5
     armijo_const: float = 1e-4
     zero_tol: float = 1e-8
-    feasibility_margin: float = 0.0
     divergence_bound: float = 1e10
 
     def __post_init__(self):
@@ -108,21 +108,24 @@ class SolverConfig:
             raise ValueError("backtrack_factor must be in (0, 1)")
         if not (0.0 < self.armijo_const < 1.0):
             raise ValueError("armijo_const must be in (0, 1)")
-        if self.zero_tol < 0 or self.feasibility_margin < 0:
-            raise ValueError("zero_tol and feasibility_margin must be >= 0")
+        if self.zero_tol < 0:
+            raise ValueError("zero_tol must be >= 0")
         if self.divergence_bound <= 0:
             raise ValueError("divergence_bound must be positive")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolverConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ValueError("solver config must be a JSON object")
+        fields = cls.__dataclass_fields__
+        unknown = set(data) - set(fields)
         if unknown:
             raise ValueError(f"unknown solver config fields: {sorted(unknown)}")
+        for name, value in data.items():
+            types = int if fields[name].type in (int, "int") else (int, float)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(f"solver.{name} has the wrong type: {value!r}")
         return cls(**data)
-
-    def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
 
 
 @dataclass
@@ -156,26 +159,18 @@ class SolveResult:
 # Smooth part
 # ---------------------------------------------------------------------------
 
-def _chol_or_none(arr: np.ndarray):
-    # ValueError covers non-finite entries, which are never PD.
-    try:
-        return scipy.linalg.cholesky(arr, lower=True)
-    except (scipy.linalg.LinAlgError, ValueError):
-        return None
-
-
-def _sym_inv_from_chol(factor: np.ndarray) -> np.ndarray:
-    inv = scipy.linalg.cho_solve((factor, True), np.eye(factor.shape[0]))
-    return np.tril(inv) + np.tril(inv, -1).T
+def _feasible_factor(lam: SymmetricMatrix,
+                     s_inv: SymmetricMatrix) -> np.ndarray:
+    factor = _chol_or_none(s_inv.to_array() + lam.to_array())
+    if factor is None:
+        raise ValueError("infeasible multiplier: S^-1 + L is not positive definite")
+    return factor
 
 
 def dual_smooth_value(lam: SymmetricMatrix, s_inv: SymmetricMatrix,
                       t_hat: SymmetricMatrix) -> float:
     """-log det(S^-1 + L) + tr(T_hat L); raises on infeasible L."""
-    m_arr = s_inv.to_array() + lam.to_array()
-    factor = _chol_or_none(m_arr)
-    if factor is None:
-        raise ValueError("infeasible multiplier: S^-1 + L is not positive definite")
+    factor = _feasible_factor(lam, s_inv)
     logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
     return -logdet + float(np.sum(t_hat.to_array() * lam.to_array()))
 
@@ -183,22 +178,15 @@ def dual_smooth_value(lam: SymmetricMatrix, s_inv: SymmetricMatrix,
 def dual_smooth_gradient(lam: SymmetricMatrix, s_inv: SymmetricMatrix,
                          t_hat: SymmetricMatrix) -> SymmetricMatrix:
     """Matrix gradient T_hat - (S^-1 + L)^-1 (trace inner product)."""
-    m_arr = s_inv.to_array() + lam.to_array()
-    factor = _chol_or_none(m_arr)
-    if factor is None:
-        raise ValueError("infeasible multiplier: S^-1 + L is not positive definite")
-    grad = t_hat.to_array() - _sym_inv_from_chol(factor)
+    grad = t_hat.to_array() - _sym_inv_from_chol(_feasible_factor(lam, s_inv))
     return SymmetricMatrix(lam.dim, _tril_of(grad))
 
 
 def primal_from_dual(lam: SymmetricMatrix,
                      s_inv: SymmetricMatrix) -> SymmetricMatrix:
     """Recovered covariance (S^-1 + L)^-1; raises on infeasible L."""
-    m_arr = s_inv.to_array() + lam.to_array()
-    factor = _chol_or_none(m_arr)
-    if factor is None:
-        raise ValueError("infeasible multiplier: S^-1 + L is not positive definite")
-    return SymmetricMatrix(lam.dim, _tril_of(_sym_inv_from_chol(factor)))
+    inv = _sym_inv_from_chol(_feasible_factor(lam, s_inv))
+    return SymmetricMatrix(lam.dim, _tril_of(inv))
 
 
 # ---------------------------------------------------------------------------
@@ -206,94 +194,69 @@ def primal_from_dual(lam: SymmetricMatrix,
 # ---------------------------------------------------------------------------
 
 def _soft(v: np.ndarray, thr: float) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
+    # sign(v) * max(|v| - thr, 0), with fewer temporaries.
+    mag = np.abs(v)
+    mag -= thr
+    np.maximum(mag, 0.0, out=mag)
+    mag *= np.sign(v)
+    return mag
 
 
-class _Masks:
-    """Boolean index sets for one penalty kind (0-based, symmetric).
+class _Penalty:
+    """The penalty of one solve (module docstring): L is held at 0 on
+    ``fixed``, and each term adds weight * sum |L_ij + A_ij| over its mask,
+    whose lower half the value sums so that a pair counts once."""
 
-    zero    -- entries hard-constrained to 0
-    shrink  -- entries soft-thresholded toward 0
-    shift   -- entries soft-thresholded toward the negated prior precision
-    *_low   -- lower-triangle restriction, for penalty values counted once
-    """
+    def __init__(self, spec: PenaltySpec, prior_mask: np.ndarray,
+                 s_inv_arr: np.ndarray):
+        dim = prior_mask.shape[0]
+        offdiag = ~np.eye(dim, dtype=bool)
+        outside, inside = offdiag & ~prior_mask, offdiag & prior_mask
+        self.fixed = np.zeros((dim, dim), dtype=bool)
+        if spec.kind == "known":
+            if spec.omega.dim != dim:
+                raise ValueError("constraint support dimension does not match the model")
+            self.fixed = ~spec.omega.mask()
+        elif spec.kind == "nlp":
+            self.fixed = ~prior_mask
+        # PenaltySpec sets exactly the weights of its kind; the rest are None.
+        weights = ((outside, spec.gamma_p or spec.eta_p),
+                   (inside, spec.gamma_n or spec.eta_n))
+        anchor = np.where(inside, s_inv_arr, 0.0)
+        below = np.tril(offdiag)
+        self.terms = [(mask, weight, anchor[mask], mask & below,
+                       anchor[mask & below])
+                      for mask, weight in weights if weight is not None]
 
-    def __init__(self, dim: int):
-        self.zero = np.zeros((dim, dim), dtype=bool)
-        self.shrink = np.zeros((dim, dim), dtype=bool)
-        self.shift = np.zeros((dim, dim), dtype=bool)
-        self._low = np.tril(np.ones((dim, dim), dtype=bool), -1)
+    def prox(self, arr: np.ndarray, step: float) -> np.ndarray:
+        """argmin_X 0.5 ||X - arr||^2 / step + penalty(X), entrywise."""
+        out = arr.copy()
+        out[self.fixed] = 0.0
+        for mask, weight, anchor, _, _ in self.terms:
+            out[mask] = _soft(arr[mask] + anchor, step * weight) - anchor
+        return out
 
-    @property
-    def shrink_low(self):
-        return self.shrink & self._low
-
-    @property
-    def shift_low(self):
-        return self.shift & self._low
-
-
-def _build_masks(kind: str, dim: int, prior_mask, omega_mask=None) -> _Masks:
-    masks = _Masks(dim)
-    offdiag = ~np.eye(dim, dtype=bool)
-    if kind == "known":
-        masks.zero = ~omega_mask
-    elif kind == "plp":
-        masks.shrink = offdiag & ~prior_mask
-    elif kind == "nlp":
-        masks.zero = ~prior_mask
-        masks.shift = offdiag & prior_mask
-    elif kind == "mixed":
-        masks.shrink = offdiag & ~prior_mask
-        masks.shift = offdiag & prior_mask
-    else:
-        raise ValueError(f"unknown penalty kind {kind!r}")
-    return masks
-
-
-def _prox_arr(arr: np.ndarray, step: float, penalty: PenaltySpec,
-              s_inv_arr: np.ndarray, masks: _Masks) -> np.ndarray:
-    out = arr.copy()
-    kind = penalty.kind
-    if kind == "known":
-        out[masks.zero] = 0.0
-    elif kind == "plp":
-        out[masks.shrink] = _soft(arr[masks.shrink], step * penalty.gamma_p)
-    elif kind == "nlp":
-        out[masks.zero] = 0.0
-        s = s_inv_arr[masks.shift]
-        out[masks.shift] = _soft(arr[masks.shift] + s, step * penalty.gamma_n) - s
-    else:
-        out[masks.shrink] = _soft(arr[masks.shrink], step * penalty.eta_p)
-        s = s_inv_arr[masks.shift]
-        out[masks.shift] = _soft(arr[masks.shift] + s, step * penalty.eta_n) - s
-    return out
+    def value(self, arr: np.ndarray) -> float:
+        total = 0.0
+        for _, weight, _, low, anchor_low in self.terms:
+            total += weight * float(np.sum(np.abs(arr[low] + anchor_low)))
+        return total
 
 
-def _penalty_value(arr: np.ndarray, penalty: PenaltySpec,
-                   s_inv_arr: np.ndarray, masks: _Masks) -> float:
-    kind = penalty.kind
-    if kind == "known":
-        return 0.0
-    if kind == "plp":
-        return penalty.gamma_p * float(np.sum(np.abs(arr[masks.shrink_low])))
-    if kind == "nlp":
-        low = masks.shift_low
-        return penalty.gamma_n * float(np.sum(np.abs(arr[low] + s_inv_arr[low])))
-    low = masks.shift_low
-    return (penalty.eta_p * float(np.sum(np.abs(arr[masks.shrink_low])))
-            + penalty.eta_n * float(np.sum(np.abs(arr[low] + s_inv_arr[low]))))
+def _prox(lam: SymmetricMatrix, step: float, spec: PenaltySpec,
+          s_inv: SymmetricMatrix, prior_support: SupportPattern):
+    if step <= 0:
+        raise ValueError("step must be positive")
+    penalty = _Penalty(spec, prior_support.mask(), s_inv.to_array())
+    return SymmetricMatrix(lam.dim, _tril_of(penalty.prox(lam.to_array(), step)))
 
 
 def prox_plp(lam: SymmetricMatrix, step: float, gamma_p: float,
              prior_support: SupportPattern) -> SymmetricMatrix:
     """Soft-threshold off-diagonal entries outside the prior support by
     step*gamma_p; prior-support entries and the diagonal pass through."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    masks = _build_masks("plp", lam.dim, prior_support.mask())
-    out = _prox_arr(lam.to_array(), step, PenaltySpec.plp(gamma_p), None, masks)
-    return SymmetricMatrix(lam.dim, _tril_of(out))
+    return _prox(lam, step, PenaltySpec.plp(gamma_p),
+                 SymmetricMatrix.zeros(lam.dim), prior_support)
 
 
 def prox_nlp(lam: SymmetricMatrix, step: float, gamma_n: float,
@@ -302,12 +265,7 @@ def prox_nlp(lam: SymmetricMatrix, step: float, gamma_n: float,
     """Zero all entries outside the prior support (hard constraint) and
     soft-threshold off-diagonal entries inside it toward the negated prior
     precision entry, with threshold step*gamma_n; diagonal passes through."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    masks = _build_masks("nlp", lam.dim, prior_support.mask())
-    out = _prox_arr(lam.to_array(), step, PenaltySpec.nlp(gamma_n),
-                    s_inv.to_array(), masks)
-    return SymmetricMatrix(lam.dim, _tril_of(out))
+    return _prox(lam, step, PenaltySpec.nlp(gamma_n), s_inv, prior_support)
 
 
 def prox_mixed(lam: SymmetricMatrix, step: float, eta_p: float, eta_n: float,
@@ -316,12 +274,8 @@ def prox_mixed(lam: SymmetricMatrix, step: float, eta_p: float, eta_n: float,
     """Combine both penalties: outside the prior support, soft-threshold by
     step*eta_p; inside (off-diagonal), shifted soft-threshold by step*eta_n;
     diagonal passes through."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    masks = _build_masks("mixed", lam.dim, prior_support.mask())
-    out = _prox_arr(lam.to_array(), step, PenaltySpec.mixed(eta_p, eta_n),
-                    s_inv.to_array(), masks)
-    return SymmetricMatrix(lam.dim, _tril_of(out))
+    return _prox(lam, step, PenaltySpec.mixed(eta_p, eta_n), s_inv,
+                 prior_support)
 
 
 # ---------------------------------------------------------------------------
@@ -374,37 +328,23 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
         raise ValueError("sample covariance dimension does not match the model")
     s_inv_arr = model.precision.to_array()
     t_hat_arr = t_hat.to_array()
-    prior_mask = model.precision_support.mask()
-    omega_mask = penalty.omega.mask() if penalty.kind == "known" else None
-    if penalty.kind == "known" and penalty.omega.dim != dim:
-        raise ValueError("constraint support dimension does not match the model")
-    masks = _build_masks(penalty.kind, dim, prior_mask, omega_mask)
+    pen = _Penalty(penalty, model.precision_support.mask(), s_inv_arr)
 
     lam = np.zeros((dim, dim)) if lam0 is None else lam0.to_array()
-    if lam0 is not None and penalty.kind in ("known", "nlp"):
-        # Hard-constrained kinds start inside their subspace.
-        lam[masks.zero] = 0.0
+    # Hard-constrained kinds start inside their subspace.
+    lam[pen.fixed] = 0.0
 
-    margin = cfg.feasibility_margin
-    eye = np.eye(dim)
-
-    def chol_if_feasible(m_arr):
-        f = _chol_or_none(m_arr)
-        if f is not None and margin > 0:
-            if _chol_or_none(m_arr - margin * eye) is None:
-                return None
-        return f
-
-    def neg_logdet(chol_factor):
-        return -2.0 * float(np.sum(np.log(np.diag(chol_factor))))
+    def objective(x, chol_factor):
+        # Composite objective at L = x, given the Cholesky factor of S^-1 + x.
+        return (-2.0 * float(np.sum(np.log(np.diag(chol_factor))))
+                + float(np.sum(t_hat_arr * x)) + pen.value(x))
 
     m_arr = s_inv_arr + lam
-    factor = chol_if_feasible(m_arr)
+    factor = _chol_or_none(m_arr)
     if factor is None:
         raise ValueError("initial multiplier is infeasible")
 
-    f_total = (neg_logdet(factor) + float(np.sum(t_hat_arr * lam))
-               + _penalty_value(lam, penalty, s_inv_arr, masks))
+    f_total = objective(lam, factor)
     trace = [f_total]
 
     step = cfg.step_init
@@ -422,16 +362,14 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
         step = min(cfg.step_init, step / cfg.backtrack_factor)
         accepted = False
         while step >= step_floor:
-            cand = _prox_arr(lam - step * w, step, penalty, s_inv_arr, masks)
+            cand = pen.prox(lam - step * w, step)
             m_cand = s_inv_arr + cand
-            cand_factor = chol_if_feasible(m_cand)
+            cand_factor = _chol_or_none(m_cand)
             if cand_factor is not None:
                 delta = cand - lam
                 dn2 = _packed_norm_sq(delta)
                 decrease = cfg.armijo_const * dn2 / step
-                f_cand = (neg_logdet(cand_factor)
-                          + float(np.sum(t_hat_arr * cand))
-                          + _penalty_value(cand, penalty, s_inv_arr, masks))
+                f_cand = objective(cand, cand_factor)
                 if f_cand <= f_total - decrease:
                     accepted = True
                     break
@@ -444,8 +382,7 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
                 # value stays in force.
                 grad_cand = t_hat_arr - _sym_inv_from_chol(cand_factor)
                 certified = (float(np.sum(grad_cand * delta))
-                             + _penalty_value(cand, penalty, s_inv_arr, masks)
-                             - _penalty_value(lam, penalty, s_inv_arr, masks))
+                             + pen.value(cand) - pen.value(lam))
                 if (certified <= -decrease
                         and f_cand <= f_total + 256 * np.finfo(float).eps
                         * (1.0 + abs(f_total))):
@@ -460,7 +397,7 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
         # Fixed-point residual at the new iterate, with its own gradient:
         # the step-normalized distance to one more prox-gradient step.
         w = free_gradient(factor)
-        probe = _prox_arr(lam - step * w, step, penalty, s_inv_arr, masks)
+        probe = pen.prox(lam - step * w, step)
         residual = np.sqrt(_packed_norm_sq(probe - lam)) / step
         if residual <= cfg.grad_tol:
             converged = True
@@ -488,7 +425,7 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
     if penalty.kind == "known":
         t_opt_arr = t_opt.to_array()
         result.duality_gap = float(np.sum(lam * (t_hat_arr - t_opt_arr)))
-        diff = np.where(omega_mask, t_opt_arr - t_hat_arr, 0.0)
+        diff = np.where(pen.fixed, 0.0, t_opt_arr - t_hat_arr)
         result.constraint_residual = float(np.linalg.norm(diff))
     return result
 

@@ -244,6 +244,13 @@ def _chol_or_none(full: np.ndarray):
         return None
 
 
+def _sym_inv_from_chol(factor: np.ndarray) -> np.ndarray:
+    # cho_solve output is symmetric only up to rounding; canonicalize from
+    # the lower triangle.
+    inv = scipy.linalg.cho_solve((factor, True), np.eye(factor.shape[0]))
+    return np.tril(inv) + np.tril(inv, -1).T
+
+
 def log_det(a: SymmetricMatrix) -> float:
     """log det of a positive definite matrix, via its Cholesky factor."""
     factor = cholesky(a)
@@ -257,10 +264,7 @@ def inverse(a: SymmetricMatrix) -> SymmetricMatrix:
     factor = cholesky(a)
     if factor is None:
         raise ValueError("inverse requires a positive definite matrix")
-    inv = scipy.linalg.cho_solve((factor, True), np.eye(a.dim))
-    # cho_solve output is symmetric only up to rounding; canonicalize from
-    # the lower triangle.
-    return SymmetricMatrix(a.dim, _tril_of(inv))
+    return SymmetricMatrix(a.dim, _tril_of(_sym_inv_from_chol(factor)))
 
 
 def frobenius_norm(a: SymmetricMatrix) -> float:

@@ -346,6 +346,83 @@ class TestMainEntry:
         assert main(["fit", str(scen), "--penalty", "mixed",
                      "--gamma", "0.1"]) == 1
 
+    @pytest.mark.parametrize("overrides", [
+        {"t_r": float("nan")},
+        {"t_r": float("inf")},
+        {"gamma_grid": [float("nan")]},
+        {"gamma_grid": [0.1, float("inf")]},
+        {"penalty_kind": "mixed", "gamma_grid": [[0.1, float("nan")]]},
+    ], ids=["t_r_nan", "t_r_inf", "gamma_nan", "gamma_inf", "mixed_nan"])
+    def test_non_finite_config_values_exit_one(self, tmp_path, capsys,
+                                               overrides):
+        cfg_path = write_config(tmp_path / "c.json", **overrides)
+        assert main(["generate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"scenario": {"dim": 6, "edge_density": 0.3, "n_add": 1,
+                      "n_remove": 0}},
+        {"scenario": {"dim": "6", "edge_density": 0.3, "n_add": 1,
+                      "n_remove": 0, "seed": 0}},
+        {"scenario": 6},
+        {"seeds": 5},
+        {"seeds": ["0"]},
+        {"N": "200"},
+        {"penalty_kind": ["plp"], "gamma_grid": None},
+        {"gamma_grid": 0.1},
+        {"gamma_grid": [None]},
+        {"gamma_grid": ["0.1"]},
+        {"output_dir": 3},
+        {"solver": {"max_iters": "5"}},
+        {"solver": {"grad_tol": True}},
+        {"solver": 5},
+    ], ids=["missing_seed", "str_dim", "scenario_int", "seeds_int",
+            "seed_str", "n_str", "kind_list", "grid_scalar", "grid_null",
+            "grid_str", "output_dir_int", "max_iters_str", "grad_tol_bool",
+            "solver_int"])
+    def test_config_type_errors_exit_one(self, tmp_path, capsys, overrides):
+        path = tmp_path / "c.json"
+        write_config(path)
+        raw = json.load(open(path))
+        raw.update(overrides)
+        raw = {k: v for k, v in raw.items() if v is not None}
+        json.dump(raw, open(path, "w"))
+        assert main(["generate", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("penalty, gamma", [
+        ("plp", "nan"), ("nlp", "nan"), ("plp", "inf"), ("mixed", "0.1,nan"),
+    ])
+    def test_non_finite_gamma_exits_one(self, tmp_path, capsys, penalty,
+                                        gamma):
+        # The penalty is validated before the scenario directory is read.
+        assert main(["fit", str(tmp_path / "scen"), "--penalty", penalty,
+                     "--gamma", gamma]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "finite" in err[0]
+        if penalty != "mixed":
+            assert "gamma" in err[0]
+
+    def test_non_finite_observation_exits_one(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "c.json")
+        assert main(["generate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 0
+        obs = tmp_path / "out" / "seed_0" / "observations.csv"
+        rows = obs.read_text().splitlines()
+        rows[3] = ",".join(["nan"] + rows[3].split(",")[1:])
+        obs.write_text("\n".join(rows) + "\n")
+        assert main(["fit", str(obs.parent), "--penalty", "plp",
+                     "--gamma", "0.1"]) == 1
+        err = capsys.readouterr().err
+        assert "non-finite observations" in err
+        assert "no feasible descent step" not in err
+
     def test_bad_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--bogus"])

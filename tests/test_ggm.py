@@ -54,6 +54,13 @@ class TestSampleCovariance:
         with pytest.raises(ValueError):
             ObservationSet(samples=np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        samples = np.ones((4, 3))
+        samples[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite observations"):
+            ObservationSet(samples=samples)
+
 
 class TestKLDivergence:
     def test_zero_at_equality(self, rng):

@@ -85,6 +85,11 @@ class TestThresholdSupport:
         with pytest.raises(ValueError):
             threshold_support(score_matrix(random_pd(3, rng)), 0.0)
 
+    @pytest.mark.parametrize("t_r", [np.nan, np.inf])
+    def test_rejects_non_finite_threshold(self, rng, t_r):
+        with pytest.raises(ValueError, match="finite"):
+            threshold_support(score_matrix(random_pd(3, rng)), t_r)
+
     def test_diagonal_rescaling_invariance(self, rng):
         # partial-correlation scores cancel diagonal scale changes of T.
         t = random_pd(5, rng)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ggmlink import (
     GaussianModel,
@@ -24,10 +25,13 @@ from ggmlink import (
     solve_known_support,
     support_of,
 )
-from ggmlink.solver import _build_masks, _penalty_value
+from ggmlink.solver import _Penalty
 from conftest import make_instance, random_pd, random_symmetric
 
 TRACE_SLACK = 1e-10
+KINDS = ("known", "plp", "nlp", "mixed")
+# Deterministic draws keep tier-1 reproducible; max_examples bounds its time.
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
 
 def scalar_prox_oracle(v, s, weight):
@@ -231,6 +235,16 @@ class TestPenaltySpec:
         with pytest.raises(ValueError):
             PenaltySpec(kind="known")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("factory", [
+        PenaltySpec.plp, PenaltySpec.nlp,
+        lambda w: PenaltySpec.mixed(w, 0.1),
+        lambda w: PenaltySpec.mixed(0.1, w),
+    ], ids=["plp", "nlp", "mixed_eta_p", "mixed_eta_n"])
+    def test_non_finite_weights_rejected(self, factory, bad):
+        with pytest.raises(ValueError, match="finite"):
+            factory(bad)
+
 
 class TestSolverConfig:
     def test_defaults(self):
@@ -425,13 +439,11 @@ class TestBruteForceEquivalence:
                 SupportPattern(dim, [(1, 1), (2, 2), (3, 3), (2, 1)]))
         res = solve(prior, t_hat, pen, SolverConfig(grad_tol=1e-10))
         s_inv_arr = prior.precision.to_array()
-        omega_mask = pen.omega.mask() if pen.kind == "known" else None
-        masks = _build_masks(pen.kind, dim, prior.precision_support.mask(),
-                             omega_mask)
+        penalty = _Penalty(pen, prior.precision_support.mask(), s_inv_arr)
         tril = np.tril_indices(dim)
         free = None
         if pen.kind in ("known", "nlp"):
-            allowed = omega_mask if pen.kind == "known" \
+            allowed = pen.omega.mask() if pen.kind == "known" \
                 else prior.precision_support.mask()
             free = allowed[tril]
 
@@ -451,7 +463,7 @@ class TestBruteForceEquivalence:
                 return np.inf
             return (-2.0 * float(np.sum(np.log(np.diag(factor))))
                     + float(np.sum(t_hat.to_array() * lam_arr))
-                    + _penalty_value(lam_arr, pen, s_inv_arr, masks))
+                    + penalty.value(lam_arr))
 
         x_star, f_star = compass_minimize(fobj, np.zeros(dim * (dim + 1) // 2))
         t_compass = np.linalg.inv(s_inv_arr + unpack(x_star))
@@ -459,6 +471,133 @@ class TestBruteForceEquivalence:
                / np.linalg.norm(res.t_opt.to_array()))
         assert rel < 1e-3
         assert res.objective_trace[-1] <= f_star + 1e-8
+
+
+@st.composite
+def prox_cases(draw):
+    """A penalty kind with random weights and step, a prior pattern, an
+    omega for `known`, and an S^-1 whose off-diagonal pattern is drawn
+    independently of the prior's, on dim 2..4."""
+    dim = draw(st.integers(2, 4))
+    n_low = dim * (dim + 1) // 2
+
+    def symmetric(elements):
+        a = np.zeros((dim, dim), dtype=np.asarray(elements).dtype)
+        ii, jj = np.tril_indices(dim)
+        a[ii, jj] = elements
+        a[jj, ii] = elements
+        return a
+
+    flags = st.lists(st.booleans(), min_size=n_low, max_size=n_low)
+    prior = symmetric(draw(flags)) | np.eye(dim, dtype=bool)
+    omega = symmetric(draw(flags))
+    s_vals = draw(st.lists(st.floats(-1.0, 1.0), min_size=n_low,
+                           max_size=n_low))
+    s_inv = np.where(symmetric(draw(flags)), symmetric(s_vals), 0.0)
+    v = symmetric(draw(st.lists(st.floats(-2.0, 2.0), min_size=n_low,
+                                max_size=n_low)))
+    weight = st.floats(0.01, 1.0)
+    kind = draw(st.sampled_from(KINDS))
+    spec = {
+        "known": lambda: PenaltySpec.known_support(SupportPattern(
+            dim, [(i + 1, j + 1) for i, j in zip(*np.nonzero(np.tril(omega)))])),
+        "plp": lambda: PenaltySpec.plp(draw(weight)),
+        "nlp": lambda: PenaltySpec.nlp(draw(weight)),
+        "mixed": lambda: PenaltySpec.mixed(draw(weight), draw(weight)),
+    }[kind]()
+    return spec, prior, omega, s_inv, v, draw(st.floats(0.05, 2.0))
+
+
+def expected_entry(spec, diagonal, inside, in_omega, s, t):
+    """What the prox of ``spec`` does to one entry, per the problem
+    statement: None if the entry is fixed at 0, else (anchor, threshold);
+    a threshold of 0 passes the entry through."""
+    if spec.kind == "known":
+        return (0.0, 0.0) if in_omega else None
+    if diagonal:
+        return (0.0, 0.0)
+    weight = {"plp": (spec.gamma_p, None), "nlp": (None, spec.gamma_n),
+              "mixed": (spec.eta_p, spec.eta_n)}[spec.kind][inside]
+    if weight is None:
+        return (0.0, 0.0) if inside else None
+    return (s, t * weight) if inside else (0.0, t * weight)
+
+
+class TestPenaltyCoreProperties:
+    @settings(PROPERTY, max_examples=60)
+    @given(prox_cases())
+    def test_prox_matches_scalar_oracle(self, case):
+        spec, prior, omega, s_inv, v, t = case
+        out = _Penalty(spec, prior, s_inv).prox(v, t)
+        dim = v.shape[0]
+        for i in range(dim):
+            for j in range(i + 1):
+                exp = expected_entry(spec, i == j, bool(prior[i, j]),
+                                     omega[i, j], s_inv[i, j], t)
+                if exp is None:
+                    assert out[i, j] == 0.0
+                    continue
+                anchor, thr = exp
+                want = v[i, j] if thr == 0.0 \
+                    else scalar_prox_oracle(v[i, j], anchor, thr)
+                assert abs(out[i, j] - want) < 1e-4
+                assert out[i, j] == out[j, i]
+
+    @settings(PROPERTY, max_examples=100)
+    @given(prox_cases())
+    def test_fixed_entries_exactly_zero(self, case):
+        spec, prior, omega, s_inv, v, t = case
+        penalty = _Penalty(spec, prior, s_inv)
+        assert np.all(penalty.prox(v, t)[penalty.fixed] == 0.0)
+
+    @settings(PROPERTY, max_examples=100)
+    @given(prox_cases())
+    def test_killed_shifted_entry_zeroes_precision(self, case):
+        spec, prior, omega, s_inv, v, t = case
+        if spec.kind not in ("nlp", "mixed"):
+            return
+        weight = spec.gamma_n or spec.eta_n
+        out = _Penalty(spec, prior, s_inv).prox(v, t)
+        killed = (prior & ~np.eye(v.shape[0], dtype=bool)
+                  & (np.abs(v + s_inv) <= t * weight))
+        assert np.all((s_inv + out)[killed] == 0.0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(PROPERTY, max_examples=3)
+    @given(seed=st.integers(0, 2**20), perm=st.permutations(range(5)))
+    def test_solve_permutation_equivariant(self, kind, seed, perm):
+        prior, truth, t_hat = make_instance(seed, dim=5, density=0.4,
+                                            n_obs=300)
+        perm = np.array(perm)
+
+        def permuted(arr):
+            return arr[np.ix_(perm, perm)]
+
+        def pattern(mask):
+            return SupportPattern(5, [(i + 1, j + 1) for i, j
+                                      in zip(*np.nonzero(np.tril(mask)))])
+
+        omega = truth.precision_support.mask()
+        penalties = {
+            "known": (PenaltySpec.known_support(pattern(omega)),
+                      PenaltySpec.known_support(pattern(permuted(omega)))),
+            "plp": (PenaltySpec.plp(0.1),) * 2,
+            "nlp": (PenaltySpec.nlp(0.2),) * 2,
+            "mixed": (PenaltySpec.mixed(0.1, 0.2),) * 2,
+        }[kind]
+        cfg = SolverConfig(grad_tol=1e-10)
+        res = solve(prior, t_hat, penalties[0], cfg)
+        prior_p = GaussianModel.from_precision(SymmetricMatrix.from_array(
+            permuted(prior.precision.to_array())))
+        t_hat_p = SymmetricMatrix.from_array(permuted(t_hat.to_array()))
+        res_p = solve(prior_p, t_hat_p, penalties[1], cfg)
+        assert res.converged and res_p.converged
+        # Penalized fits stop within about 5e-9 of each other whatever
+        # grad_tol is: below that the line search cannot resolve the
+        # objective.
+        t_opt = res.t_opt.to_array()
+        diff = res_p.t_opt.to_array() - permuted(t_opt)
+        assert np.linalg.norm(diff) <= 1e-8 * np.linalg.norm(t_opt)
 
 
 class TestRandomFeasibleStart:
