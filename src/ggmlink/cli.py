@@ -387,10 +387,8 @@ def cmd_baselines(scenario_dir, k: int | None = None,
         k_remove = len(prior_support.minus(truth).off_diagonal())
     else:
         # Cap each baseline at its own candidate pool.
-        dim = prior_support.dim
-        n_edges = len(prior_support.off_diagonal())
-        k_add = min(k, dim * (dim - 1) // 2 - n_edges)
-        k_remove = min(k, n_edges)
+        k_add = min(k, len(prior_support.complement().off_diagonal()))
+        k_remove = min(k, len(prior_support.off_diagonal()))
 
     cn = predict.plp_baseline(prior_support, k_add)
     reversed_cn = predict.nlp_reversed_baseline(prior_support, k_remove)

@@ -19,11 +19,10 @@ import numpy as np
 from .symmat import (
     SupportPattern,
     SymmetricMatrix,
+    _sym_inv_from_chol,
     _tril_of,
     cholesky,
     frobenius_norm,
-    inverse,
-    log_det,
     read_matrix,
     read_support,
     support_of,
@@ -68,10 +67,12 @@ class GaussianModel:
     @classmethod
     def from_precision(cls, precision: SymmetricMatrix) -> "GaussianModel":
         """Build from an explicit PD precision matrix; support is exact."""
-        if cholesky(precision) is None:
+        factor = cholesky(precision)
+        if factor is None:
             raise ValueError("precision matrix is not positive definite")
         return cls(
-            covariance=inverse(precision),
+            covariance=SymmetricMatrix(precision.dim,
+                                       _tril_of(_sym_inv_from_chol(factor))),
             precision=precision,
             precision_support=support_of(precision, 0.0),
             zero_tol=0.0,
@@ -82,9 +83,10 @@ class GaussianModel:
                         zero_tol: float = 1e-10) -> "GaussianModel":
         """Build from a PD covariance; the precision support is extracted
         at ``zero_tol`` (numerical inversion has no exact zeros)."""
-        if cholesky(covariance) is None:
+        factor = cholesky(covariance)
+        if factor is None:
             raise ValueError("covariance matrix is not positive definite")
-        precision = inverse(covariance)
+        precision = SymmetricMatrix(covariance.dim, _tril_of(_sym_inv_from_chol(factor)))
         return cls(
             covariance=covariance,
             precision=precision,
@@ -168,8 +170,7 @@ def kl_divergence(cov_t: SymmetricMatrix, cov_s: SymmetricMatrix) -> float:
         raise ValueError("kl_divergence requires positive definite inputs")
     logdet_s = 2.0 * float(np.sum(np.log(np.diag(s_chol))))
     logdet_t = 2.0 * float(np.sum(np.log(np.diag(t_chol))))
-    s_inv = inverse(cov_s).to_array()
-    trace_term = float(np.sum(s_inv * cov_t.to_array()))
+    trace_term = float(np.sum(_sym_inv_from_chol(s_chol) * cov_t.to_array()))
     return 0.5 * (-(logdet_t - logdet_s) + trace_term - m)
 
 
@@ -180,8 +181,11 @@ def negative_log_likelihood(sigma: SymmetricMatrix,
     additive constants dropped."""
     if sigma.dim != sigma_hat.dim:
         raise ValueError("dimension mismatch")
-    sigma_inv = inverse(sigma).to_array()
-    return log_det(sigma) + float(np.sum(sigma_hat.to_array() * sigma_inv))
+    factor = cholesky(sigma)
+    if factor is None:
+        raise ValueError("inverse requires a positive definite matrix")
+    return (float(2.0 * np.sum(np.log(np.diag(factor))))
+            + float(np.sum(sigma_hat.to_array() * _sym_inv_from_chol(factor))))
 
 
 def relative_error(cov_true: SymmetricMatrix,
@@ -216,10 +220,6 @@ def draw_samples(cov: SymmetricMatrix, n: int, seed: int) -> ObservationSet:
 # Synthetic scenarios
 # ---------------------------------------------------------------------------
 
-def _all_offdiag_pairs(dim: int) -> list:
-    return [(i, j) for i in range(2, dim + 1) for j in range(1, i)]
-
-
 def _dominant_diagonal(arr: np.ndarray) -> np.ndarray:
     """PD repair of a structural precision matrix: reset the diagonal to
     the off-diagonal absolute row sum plus a margin of DIAG_MARGIN times
@@ -245,7 +245,7 @@ def random_model(dim: int, edge_density: float, seed: int) -> GaussianModel:
     if not (0.0 < edge_density <= 1.0):
         raise ValueError("edge_density must be in (0, 1]")
     rng = np.random.default_rng(seed)
-    candidates = _all_offdiag_pairs(dim)
+    candidates = SupportPattern.full(dim).off_diagonal()
     n_edges = int(round(edge_density * len(candidates)))
     chosen = rng.choice(len(candidates), size=n_edges, replace=False)
     arr = np.zeros((dim, dim))
@@ -266,7 +266,7 @@ def perturb_model(base: GaussianModel, spec: ScenarioSpec) -> GaussianModel:
     if spec.dim != base.dim:
         raise ValueError("scenario dim does not match base model")
     support = base.precision_support
-    absent = [p for p in _all_offdiag_pairs(base.dim) if p not in support]
+    absent = support.complement().off_diagonal()
     present = support.off_diagonal()
     if spec.n_add > len(absent):
         raise ValueError(

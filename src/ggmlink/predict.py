@@ -15,9 +15,9 @@ import numpy as np
 from .symmat import (
     SupportPattern,
     SymmetricMatrix,
+    _sym_inv_from_chol,
     _tril_of,
     cholesky,
-    inverse,
 )
 
 SCORE_VARIANTS = ("as_written", "partial_correlation")
@@ -88,9 +88,10 @@ def score_matrix(t_opt: SymmetricMatrix, variant: str = "partial_correlation",
     """Score matrix of an estimated PD covariance, under either scaling."""
     if variant not in SCORE_VARIANTS:
         raise ValueError(f"unknown score variant {variant!r}")
-    if cholesky(t_opt) is None:
+    factor = cholesky(t_opt)
+    if factor is None:
         raise ValueError("score_matrix requires a positive definite input")
-    k = inverse(t_opt).to_array()
+    k = _sym_inv_from_chol(factor)
     if variant == "as_written":
         d = np.sqrt(np.diag(t_opt.to_array()))
     else:
@@ -104,14 +105,9 @@ def threshold_support(r: ScoreMatrix, t_r: float) -> SupportPattern:
     """Off-diagonal pairs with |r_ij| > t_r, plus every diagonal pair."""
     if not 0.0 < t_r < np.inf:
         raise ValueError("threshold must be finite and strictly positive")
-    arr = np.abs(r.scores.to_array())
-    dim = r.dim
-    pairs = [(i, i) for i in range(1, dim + 1)]
-    for i in range(2, dim + 1):
-        for j in range(1, i):
-            if arr[i - 1, j - 1] > t_r:
-                pairs.append((i, j))
-    return SupportPattern(dim, pairs)
+    keep = np.abs(r.scores.to_array()) > t_r
+    np.fill_diagonal(keep, True)
+    return SupportPattern.from_mask(keep)
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +117,11 @@ def threshold_support(r: ScoreMatrix, t_r: float) -> SupportPattern:
 def common_neighbors(support: SupportPattern) -> SymmetricMatrix:
     """Count of shared neighbors per pair, from the off-diagonal graph of
     ``support``; the diagonal is zeroed (self-pairs are not scored)."""
-    dim = support.dim
-    adj = np.zeros((dim, dim))
-    for i, j in support.off_diagonal():
-        adj[i - 1, j - 1] = 1.0
-        adj[j - 1, i - 1] = 1.0
+    adj = support.mask().astype(np.float64)
+    np.fill_diagonal(adj, 0.0)
     counts = adj @ adj
     np.fill_diagonal(counts, 0.0)
-    return SymmetricMatrix(dim, _tril_of(counts))
+    return SymmetricMatrix(support.dim, _tril_of(counts))
 
 
 def _ranked(pairs_with_scores, reverse: bool):
@@ -148,8 +141,7 @@ def plp_baseline(prior_support: SupportPattern, k: int) -> PredictionReport:
         raise ValueError("need k >= 0")
     dim = prior_support.dim
     cn = common_neighbors(prior_support)
-    candidates = [(i, j) for i in range(2, dim + 1) for j in range(1, i)
-                  if (i, j) not in prior_support]
+    candidates = prior_support.complement().off_diagonal()
     if k > len(candidates):
         raise ValueError(f"k={k} exceeds the {len(candidates)} absent pairs")
     ranked = _ranked([(p, cn[p]) for p in candidates], reverse=True)
@@ -197,12 +189,10 @@ def evaluate(predicted: SupportPattern, truth: SupportPattern,
     but missed), over undirected off-diagonal pairs."""
     if predicted.dim != truth.dim:
         raise ValueError("dimension mismatch")
-    pred_edges = set(predicted.off_diagonal())
-    true_edges = set(truth.off_diagonal())
     return PredictionReport(
         predicted_support=predicted,
         true_support=truth,
-        false_positives=len(pred_edges - true_edges),
-        false_negatives=len(true_edges - pred_edges),
+        false_positives=len(predicted.minus(truth).off_diagonal()),
+        false_negatives=len(truth.minus(predicted).off_diagonal()),
         method_name=method_name,
     )

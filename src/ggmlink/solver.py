@@ -326,6 +326,8 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
     dim = model.dim
     if t_hat.dim != dim:
         raise ValueError("sample covariance dimension does not match the model")
+    if not np.isfinite(t_hat.packed()).all():
+        raise ValueError("t_hat must be finite: the sample covariance holds NaN or inf")
     s_inv_arr = model.precision.to_array()
     t_hat_arr = t_hat.to_array()
     pen = _Penalty(penalty, model.precision_support.mask(), s_inv_arr)

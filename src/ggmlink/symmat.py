@@ -1,9 +1,10 @@
 """Dense symmetric matrices and symmetric index-pair sets.
 
 Matrices store a single (lower) triangle, so symmetry is exact by
-construction and never drifts through arithmetic. Index pairs are 1-based
-everywhere in the public interface; a pair (i, j) always means the
-unordered pair, stored canonically with i >= j.
+construction and never drifts through arithmetic. A support pattern is one
+symmetric boolean mask, a format no other module knows. Index pairs are
+1-based everywhere in the public interface; a pair (i, j) always means the
+unordered pair, read back canonically with i >= j.
 """
 
 from __future__ import annotations
@@ -118,27 +119,38 @@ class SymmetricMatrix:
 class SupportPattern:
     """Symmetric set of 1-based index pairs over {1..dim} x {1..dim}.
 
-    Pairs are stored canonically with i >= j and interpreted symmetrically:
-    (i, j) is a member iff (j, i) is.
+    Stored as one read-only symmetric boolean (dim, dim) mask, 0-based:
+    (i, j) is a member iff mask[i-1, j-1] is set. Pairs read back with i >= j.
     """
 
-    __slots__ = ("dim", "_pairs")
+    __slots__ = ("dim", "_mask")
 
     def __init__(self, dim: int, pairs):
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        canon = set()
+        mask = np.zeros((dim, dim), dtype=bool)
         for i, j in pairs:
             i, j = int(i), int(j)
             if i < j:
                 i, j = j, i
             if not (1 <= j <= i <= dim):
                 raise ValueError(f"pair ({i}, {j}) out of range for dim {dim}")
-            canon.add((i, j))
-        self.dim = dim
-        self._pairs = frozenset(canon)
+            mask[i - 1, j - 1] = mask[j - 1, i - 1] = True
+        mask.setflags(write=False)
+        self.dim, self._mask = dim, mask
 
     # ---- constructors ----
+
+    @classmethod
+    def from_mask(cls, mask) -> "SupportPattern":
+        """Pattern of a symmetric boolean (dim, dim) membership mask, 0-based."""
+        mask = np.array(mask, dtype=bool)
+        if mask.ndim != 2 or mask.size == 0 or not np.array_equal(mask, mask.T):
+            raise ValueError(f"expected a symmetric square mask, got shape {mask.shape}")
+        mask.setflags(write=False)
+        out = cls.__new__(cls)
+        out.dim, out._mask = mask.shape[0], mask
+        return out
 
     @classmethod
     def empty(cls, dim: int) -> "SupportPattern":
@@ -146,72 +158,74 @@ class SupportPattern:
 
     @classmethod
     def diagonal(cls, dim: int) -> "SupportPattern":
-        return cls(dim, ((i, i) for i in range(1, dim + 1)))
+        return cls.from_mask(np.eye(dim, dtype=bool))
 
     @classmethod
     def full(cls, dim: int) -> "SupportPattern":
-        return cls(dim, ((i, j) for i in range(1, dim + 1) for j in range(1, i + 1)))
+        return cls.from_mask(np.ones((dim, dim), dtype=bool))
 
     # ---- queries ----
 
     def __contains__(self, pair) -> bool:
         i, j = pair
-        if i < j:
-            i, j = j, i
-        return (i, j) in self._pairs
+        # Out-of-range pairs are absent; a negative index must not wrap.
+        return 1 <= min(i, j) and max(i, j) <= self.dim and bool(self._mask[i - 1, j - 1])
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return int(np.count_nonzero(self._mask) + self._mask.trace()) // 2
 
     def __iter__(self):
         return iter(self.pairs())
 
     def pairs(self) -> list:
         """Canonical (i >= j) pairs in sorted order."""
-        return sorted(self._pairs)
+        return self._lower(0)
 
     def off_diagonal(self) -> list:
         """Canonical pairs with i > j, sorted."""
-        return sorted(p for p in self._pairs if p[0] != p[1])
+        return self._lower(-1)
+
+    def _lower(self, k: int) -> list:
+        # Row-major order is the sorted order; pairs share one list's ints.
+        flat = np.flatnonzero(self._mask & np.tri(self.dim, k=k, dtype=bool))
+        ii, jj = np.divmod(flat, self.dim)
+        index = list(range(1, self.dim + 1)).__getitem__
+        return list(zip(map(index, ii), map(index, jj)))
 
     def union(self, other: "SupportPattern") -> "SupportPattern":
         self._check_dim(other)
-        return SupportPattern(self.dim, self._pairs | other._pairs)
+        return SupportPattern.from_mask(self._mask | other._mask)
 
     def minus(self, other: "SupportPattern") -> "SupportPattern":
         self._check_dim(other)
-        return SupportPattern(self.dim, self._pairs - other._pairs)
+        return SupportPattern.from_mask(self._mask & ~other._mask)
 
     def complement(self) -> "SupportPattern":
         """All pairs of the full pattern not in this one."""
-        return SupportPattern.full(self.dim).minus(self)
+        return SupportPattern.from_mask(~self._mask)
 
     def issubset(self, other: "SupportPattern") -> bool:
         self._check_dim(other)
-        return self._pairs <= other._pairs
+        return not np.any(self._mask & ~other._mask)
 
     def mask(self) -> np.ndarray:
-        """Symmetric boolean (dim, dim) membership mask, 0-based."""
-        m = np.zeros((self.dim, self.dim), dtype=bool)
-        for i, j in self._pairs:
-            m[i - 1, j - 1] = True
-            m[j - 1, i - 1] = True
-        return m
+        """Symmetric boolean (dim, dim) membership mask, 0-based (a copy)."""
+        return self._mask.copy()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SupportPattern):
             return NotImplemented
-        return self.dim == other.dim and self._pairs == other._pairs
+        return self.dim == other.dim and np.array_equal(self._mask, other._mask)
 
     def __hash__(self) -> int:
-        return hash((self.dim, self._pairs))
+        return hash((self.dim, self._mask.tobytes()))
 
     def _check_dim(self, other: "SupportPattern") -> None:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
     def __repr__(self) -> str:
-        return f"SupportPattern(dim={self.dim}, npairs={len(self._pairs)})"
+        return f"SupportPattern(dim={self.dim}, npairs={len(self)})"
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +236,7 @@ def project_support(a: SymmetricMatrix, omega: SupportPattern) -> SymmetricMatri
     """Zero every entry of ``a`` outside ``omega`` (symmetrically)."""
     if a.dim != omega.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {omega.dim}")
-    full = a.to_array()
-    out = np.where(omega.mask(), full, 0.0)
-    return SymmetricMatrix(a.dim, _tril_of(out))
+    return SymmetricMatrix(a.dim, np.where(_tril_of(omega._mask), a.packed(), 0.0))
 
 
 def cholesky(a: SymmetricMatrix):
@@ -276,9 +288,7 @@ def support_of(a: SymmetricMatrix, zero_tol: float) -> SupportPattern:
     """Pairs where |a[i, j]| exceeds ``zero_tol`` (strictly)."""
     if zero_tol < 0:
         raise ValueError("zero_tol must be >= 0")
-    full = a.to_array()
-    ii, jj = np.nonzero(np.abs(np.tril(full)) > zero_tol)
-    return SupportPattern(a.dim, zip(ii + 1, jj + 1))
+    return SupportPattern.from_mask(np.abs(a.to_array()) > zero_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ggmlink import ScenarioSpec, SymmetricMatrix
 from ggmlink import draw_samples, perturb_model, random_model, sample_covariance
+
+# Deterministic draws keep tier-1 reproducible; each property test bounds
+# its own time with max_examples.
+settings.register_profile("ggmlink", deadline=None, derandomize=True,
+                          database=None)
+settings.load_profile("ggmlink")
 
 
 def random_pd(dim, rng, scale=1.0):

@@ -1,9 +1,13 @@
 """Score matrices, thresholding, baselines, and misprediction counting."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ggmlink import (
+    ScoreMatrix,
     SupportPattern,
     SymmetricMatrix,
     common_neighbors,
@@ -248,3 +252,157 @@ class TestEvaluate:
         assert d["false_positives"] == 1
         assert d["mispredicted_total"] == 2
         assert d["predicted_support"]["pairs"] == [[1, 1], [2, 1], [2, 2], [3, 3]]
+
+
+# ---------------------------------------------------------------------------
+# Reference loop versions of the support computations, checked against the
+# array forms on random and tie-heavy graphs.
+# ---------------------------------------------------------------------------
+
+def loop_threshold_support(r, t_r):
+    arr = np.abs(r.scores.to_array())
+    dim = r.dim
+    pairs = [(i, i) for i in range(1, dim + 1)]
+    for i in range(2, dim + 1):
+        for j in range(1, i):
+            if arr[i - 1, j - 1] > t_r:
+                pairs.append((i, j))
+    return SupportPattern(dim, pairs)
+
+
+def loop_common_neighbors(support):
+    dim = support.dim
+    adj = np.zeros((dim, dim))
+    for i, j in support.off_diagonal():
+        adj[i - 1, j - 1] = 1.0
+        adj[j - 1, i - 1] = 1.0
+    counts = adj @ adj
+    np.fill_diagonal(counts, 0.0)
+    return SymmetricMatrix.from_array(counts, tol=0.0)
+
+
+def loop_ranked(pairs_with_scores, reverse):
+    key = (lambda ps: (-ps[1], ps[0])) if reverse else (lambda ps: (ps[1], ps[0]))
+    return sorted(pairs_with_scores, key=key)
+
+
+def loop_tie(ranked, k):
+    return 0 < k < len(ranked) and ranked[k - 1][1] == ranked[k][1]
+
+
+def loop_plp_baseline(prior, k):
+    dim = prior.dim
+    cn = loop_common_neighbors(prior)
+    candidates = [(i, j) for i in range(2, dim + 1) for j in range(1, i)
+                  if (i, j) not in prior]
+    ranked = loop_ranked([(p, cn[p]) for p in candidates], reverse=True)
+    predicted = prior.union(SupportPattern(dim, [p for p, _ in ranked[:k]])) \
+        .union(SupportPattern.diagonal(dim))
+    return predicted, loop_tie(ranked, k)
+
+
+def loop_nlp_reversed_baseline(prior, k):
+    dim = prior.dim
+    scored = []
+    for edge in prior.off_diagonal():
+        pruned = prior.minus(SupportPattern(dim, [edge]))
+        scored.append((edge, loop_common_neighbors(pruned)[edge]))
+    ranked = loop_ranked(scored, reverse=False)
+    predicted = prior.minus(SupportPattern(dim, [p for p, _ in ranked[:k]])) \
+        .union(SupportPattern.diagonal(dim))
+    return predicted, loop_tie(ranked, k)
+
+
+def loop_evaluate(predicted, truth):
+    pred_edges = set(predicted.off_diagonal())
+    true_edges = set(truth.off_diagonal())
+    return len(pred_edges - true_edges), len(true_edges - pred_edges)
+
+
+@st.composite
+def graphs(draw):
+    """A dim in 2..12 and two graphs (diagonal included). Every third case
+    is tie-heavy: a cycle, a star or a complete bipartite graph, whose
+    common-neighbor counts take one or two values."""
+    dim = draw(st.integers(2, 12))
+    offdiag = [(i, j) for i in range(2, dim + 1) for j in range(1, i)]
+
+    def random_graph():
+        keep = draw(st.lists(st.booleans(), min_size=len(offdiag),
+                             max_size=len(offdiag)))
+        return pattern_from_edges(dim, [p for p, on in zip(offdiag, keep) if on])
+
+    shape = draw(st.sampled_from(["random", "random", "tie-heavy"]))
+    if shape == "random":
+        prior = random_graph()
+    else:
+        half = draw(st.integers(1, dim - 1))
+        prior = pattern_from_edges(dim, draw(st.sampled_from([
+            [(i, i - 1) for i in range(2, dim + 1)] + ([(dim, 1)] if dim > 2 else []),
+            [(i, 1) for i in range(2, dim + 1)],
+            [(i, j) for i in range(half + 1, dim + 1) for j in range(1, half + 1)],
+        ])))
+    return prior, random_graph()
+
+
+def assert_report_json_ready(report):
+    assert type(report.ties) is bool
+    json.dumps(report.to_dict())
+
+
+class TestArrayFormsMatchLoops:
+    @settings(max_examples=150)
+    @given(st.integers(1, 12).flatmap(lambda dim: st.lists(
+        st.sampled_from([0.0, 0.25, -0.25, 0.5, 1e-4, -1e-4, 1.0]),
+        min_size=dim * dim, max_size=dim * dim).map(
+            lambda v: np.reshape(v, (dim, dim)))))
+    def test_threshold_support(self, arr):
+        # Scores at exactly the threshold test the strict comparison.
+        scores = SymmetricMatrix.from_array(np.tril(arr) + np.tril(arr, -1).T)
+        r = ScoreMatrix(scores=scores, variant="partial_correlation")
+        for t_r in (1e-4, 0.25, 0.3):
+            assert threshold_support(r, t_r) == loop_threshold_support(r, t_r)
+
+    @settings(max_examples=100)
+    @given(graphs(), st.integers(0, 1000))
+    def test_plp_baseline(self, case, k_seed):
+        prior, _ = case
+        n_absent = len(prior.complement().off_diagonal())
+        k = k_seed % (n_absent + 1)
+        np.testing.assert_array_equal(common_neighbors(prior).to_array(),
+                                      loop_common_neighbors(prior).to_array())
+        report = plp_baseline(prior, k)
+        predicted, ties = loop_plp_baseline(prior, k)
+        assert report.predicted_support == predicted
+        assert report.ties == ties
+        assert_report_json_ready(report)
+
+    @settings(max_examples=100)
+    @given(graphs(), st.integers(0, 1000))
+    def test_nlp_reversed_baseline(self, case, k_seed):
+        prior, _ = case
+        k = k_seed % (len(prior.off_diagonal()) + 1)
+        report = nlp_reversed_baseline(prior, k)
+        predicted, ties = loop_nlp_reversed_baseline(prior, k)
+        assert report.predicted_support == predicted
+        assert report.ties == ties
+        assert_report_json_ready(report)
+
+    @settings(max_examples=100)
+    @given(graphs())
+    def test_evaluate(self, case):
+        predicted, truth = case
+        report = evaluate(predicted, truth)
+        assert (report.false_positives, report.false_negatives) \
+            == loop_evaluate(predicted, truth)
+        assert type(report.false_positives) is int
+        assert type(report.false_negatives) is int
+        assert_report_json_ready(report)
+
+    def test_tie_heavy_baselines_flag_ties(self):
+        # A 6-cycle: every absent pair has 0 or 1 common neighbors and every
+        # edge 0 once removed, so both rankings tie at the boundary.
+        cycle = pattern_from_edges(6, [(i, i - 1) for i in range(2, 7)] + [(6, 1)])
+        for report in (plp_baseline(cycle, 2), nlp_reversed_baseline(cycle, 2)):
+            assert report.ties is True
+            assert_report_json_ready(report)

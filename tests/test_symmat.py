@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ggmlink import (
     SupportPattern,
@@ -97,6 +98,110 @@ class TestSupportPattern:
         s = SupportPattern(3, [(2, 1)])
         m = s.mask()
         assert m[0, 1] and m[1, 0] and not m[2, 2]
+
+    def test_from_mask_rejects_asymmetric_and_non_square(self):
+        with pytest.raises(ValueError, match="symmetric square mask"):
+            SupportPattern.from_mask([[True, True], [False, True]])
+        with pytest.raises(ValueError, match="symmetric square mask"):
+            SupportPattern.from_mask(np.ones((2, 3), dtype=bool))
+        with pytest.raises(ValueError, match="symmetric square mask"):
+            SupportPattern.from_mask(np.ones((0, 0), dtype=bool))
+
+
+# Reference: the pattern as a frozenset of canonical (i >= j) 1-based pairs.
+def oracle(pairs):
+    return frozenset((max(i, j), min(i, j)) for i, j in pairs)
+
+
+def oracle_full(dim):
+    return frozenset((i, j) for i in range(1, dim + 1) for j in range(1, i + 1))
+
+
+def oracle_mask(dim, canon):
+    m = np.zeros((dim, dim), dtype=bool)
+    for i, j in canon:
+        m[i - 1, j - 1] = m[j - 1, i - 1] = True
+    return m
+
+
+@st.composite
+def pair_lists(draw):
+    """A dim in 1..12 and two pair lists, each with diagonal, duplicate and
+    reversed pairs mixed in."""
+    dim = draw(st.integers(1, 12))
+    index = st.integers(1, dim)
+
+    def pairs():
+        base = draw(st.lists(st.tuples(index, index), max_size=3 * dim))
+        diag = [(i, i) for i in draw(st.lists(index, max_size=2))]
+        return base + diag + [(j, i) for i, j in base[:3]] + base[:2]
+
+    return dim, pairs(), pairs()
+
+
+class TestSupportPatternAgainstSetOracle:
+    @settings(max_examples=200)
+    @given(pair_lists())
+    def test_every_operation_matches(self, case):
+        dim, pa, pb = case
+        a, b = SupportPattern(dim, pa), SupportPattern(dim, pb)
+        sa, sb = oracle(pa), oracle(pb)
+        full = oracle_full(dim)
+
+        assert a.pairs() == sorted(sa)
+        assert all(type(v) is int for p in a.pairs() for v in p)
+        assert a.off_diagonal() == sorted(p for p in sa if p[0] != p[1])
+        assert all(type(v) is int for p in a.off_diagonal() for v in p)
+        assert list(a) == sorted(sa)
+        assert len(a) == len(sa)
+        assert repr(a) == f"SupportPattern(dim={dim}, npairs={len(sa)})"
+        for i in range(-1, dim + 2):
+            for j in range(-1, dim + 2):
+                assert ((i, j) in a) == ((max(i, j), min(i, j)) in sa)
+
+        assert a.union(b).pairs() == sorted(sa | sb)
+        assert a.minus(b).pairs() == sorted(sa - sb)
+        assert a.complement().pairs() == sorted(full - sa)
+        assert a.issubset(b) == (sa <= sb)
+        assert a.issubset(a.union(b))
+        assert (a == b) == (sa == sb)
+
+        m = a.mask()
+        np.testing.assert_array_equal(m, oracle_mask(dim, sa))
+        m[:] = ~m
+        np.testing.assert_array_equal(a.mask(), oracle_mask(dim, sa))
+        assert SupportPattern.from_mask(a.mask()) == a
+
+        assert SupportPattern.empty(dim).pairs() == []
+        assert SupportPattern.diagonal(dim).pairs() == sorted(
+            (i, i) for i in range(1, dim + 1))
+        assert SupportPattern.full(dim).pairs() == sorted(full)
+
+    @settings(max_examples=100)
+    @given(pair_lists())
+    def test_equal_patterns_hash_equal(self, case):
+        dim, pa, _ = case
+        a = SupportPattern(dim, pa)
+        b = SupportPattern(dim, [(j, i) for i, j in reversed(pa)])
+        c = SupportPattern.from_mask(oracle_mask(dim, oracle(pa)))
+        assert a == b == c
+        assert hash(a) == hash(b) == hash(c)
+        assert len({a, b, c}) == 1
+        assert a != SupportPattern(dim + 1, pa)
+
+    @settings(max_examples=100)
+    @given(st.integers(1, 12).flatmap(lambda dim: st.tuples(
+        st.just(dim), st.lists(st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 0.5]),
+                               min_size=dim * (dim + 1) // 2,
+                               max_size=dim * (dim + 1) // 2))))
+    def test_support_of_matches_loop(self, case):
+        dim, packed = case
+        a = SymmetricMatrix(dim, np.array(packed))
+        full = a.to_array()
+        for tol in (0.0, 1e-9, 1e-6):
+            want = [(i, j) for i in range(1, dim + 1) for j in range(1, i + 1)
+                    if abs(full[i - 1, j - 1]) > tol]
+            assert support_of(a, tol).pairs() == want
 
 
 class TestProjectSupport:
