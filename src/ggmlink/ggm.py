@@ -19,9 +19,11 @@ import numpy as np
 from .symmat import (
     SupportPattern,
     SymmetricMatrix,
-    _sym_inv_from_chol,
+    _factor_or_raise,
+    _log_det_of_factor,
+    _packed_inverse,
+    _trace_inner,
     _tril_of,
-    cholesky,
     frobenius_norm,
     read_matrix,
     read_support,
@@ -67,12 +69,9 @@ class GaussianModel:
     @classmethod
     def from_precision(cls, precision: SymmetricMatrix) -> "GaussianModel":
         """Build from an explicit PD precision matrix; support is exact."""
-        factor = cholesky(precision)
-        if factor is None:
-            raise ValueError("precision matrix is not positive definite")
+        factor = _factor_or_raise(precision, "precision matrix is not positive definite")
         return cls(
-            covariance=SymmetricMatrix(precision.dim,
-                                       _tril_of(_sym_inv_from_chol(factor))),
+            covariance=SymmetricMatrix(precision.dim, _packed_inverse(factor)),
             precision=precision,
             precision_support=support_of(precision, 0.0),
             zero_tol=0.0,
@@ -83,10 +82,8 @@ class GaussianModel:
                         zero_tol: float = 1e-10) -> "GaussianModel":
         """Build from a PD covariance; the precision support is extracted
         at ``zero_tol`` (numerical inversion has no exact zeros)."""
-        factor = cholesky(covariance)
-        if factor is None:
-            raise ValueError("covariance matrix is not positive definite")
-        precision = SymmetricMatrix(covariance.dim, _tril_of(_sym_inv_from_chol(factor)))
+        factor = _factor_or_raise(covariance, "covariance matrix is not positive definite")
+        precision = SymmetricMatrix(covariance.dim, _packed_inverse(factor))
         return cls(
             covariance=covariance,
             precision=precision,
@@ -164,13 +161,11 @@ def kl_divergence(cov_t: SymmetricMatrix, cov_s: SymmetricMatrix) -> float:
     if cov_t.dim != cov_s.dim:
         raise ValueError("dimension mismatch")
     m = cov_t.dim
-    s_chol = cholesky(cov_s)
-    t_chol = cholesky(cov_t)
-    if s_chol is None or t_chol is None:
-        raise ValueError("kl_divergence requires positive definite inputs")
-    logdet_s = 2.0 * float(np.sum(np.log(np.diag(s_chol))))
-    logdet_t = 2.0 * float(np.sum(np.log(np.diag(t_chol))))
-    trace_term = float(np.sum(_sym_inv_from_chol(s_chol) * cov_t.to_array()))
+    message = "kl_divergence requires positive definite inputs"
+    s_chol = _factor_or_raise(cov_s, message)
+    logdet_s = _log_det_of_factor(s_chol)
+    logdet_t = _log_det_of_factor(_factor_or_raise(cov_t, message))
+    trace_term = _trace_inner(_packed_inverse(s_chol), cov_t.packed())
     return 0.5 * (-(logdet_t - logdet_s) + trace_term - m)
 
 
@@ -181,11 +176,9 @@ def negative_log_likelihood(sigma: SymmetricMatrix,
     additive constants dropped."""
     if sigma.dim != sigma_hat.dim:
         raise ValueError("dimension mismatch")
-    factor = cholesky(sigma)
-    if factor is None:
-        raise ValueError("inverse requires a positive definite matrix")
-    return (float(2.0 * np.sum(np.log(np.diag(factor))))
-            + float(np.sum(sigma_hat.to_array() * _sym_inv_from_chol(factor))))
+    factor = _factor_or_raise(sigma, "inverse requires a positive definite matrix")
+    return (_log_det_of_factor(factor)
+            + _trace_inner(sigma_hat.packed(), _packed_inverse(factor)))
 
 
 def relative_error(cov_true: SymmetricMatrix,
@@ -208,9 +201,7 @@ def draw_samples(cov: SymmetricMatrix, n: int, seed: int) -> ObservationSet:
     the Cholesky factor. Deterministic given ``seed`` (generator: pcg64)."""
     if n < 1:
         raise ValueError("need at least one sample")
-    factor = cholesky(cov)
-    if factor is None:
-        raise ValueError("draw_samples requires a positive definite covariance")
+    factor = _factor_or_raise(cov, "draw_samples requires a positive definite covariance")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, cov.dim))
     return ObservationSet(samples=z @ factor.T, seed=seed)
@@ -316,8 +307,7 @@ def load_model(directory, prefix: str) -> GaussianModel:
     covariance = read_matrix(os.path.join(directory, f"{prefix}_covariance.txt"))
     precision = read_matrix(os.path.join(directory, f"{prefix}_precision.txt"))
     support = read_support(os.path.join(directory, f"{prefix}_support.txt"))
-    if cholesky(covariance) is None:
-        raise ValueError(f"{prefix}: stored covariance is not positive definite")
+    _factor_or_raise(covariance, f"{prefix}: stored covariance is not positive definite")
     return GaussianModel(covariance=covariance, precision=precision,
                          precision_support=support, zero_tol=0.0)
 

@@ -15,9 +15,9 @@ import numpy as np
 from .symmat import (
     SupportPattern,
     SymmetricMatrix,
-    _sym_inv_from_chol,
+    _factor_or_raise,
+    _packed_inverse,
     _tril_of,
-    cholesky,
 )
 
 SCORE_VARIANTS = ("as_written", "partial_correlation")
@@ -88,16 +88,14 @@ def score_matrix(t_opt: SymmetricMatrix, variant: str = "partial_correlation",
     """Score matrix of an estimated PD covariance, under either scaling."""
     if variant not in SCORE_VARIANTS:
         raise ValueError(f"unknown score variant {variant!r}")
-    factor = cholesky(t_opt)
-    if factor is None:
-        raise ValueError("score_matrix requires a positive definite input")
-    k = _sym_inv_from_chol(factor)
+    k = _packed_inverse(
+        _factor_or_raise(t_opt, "score_matrix requires a positive definite input"))
+    diag = _tril_of(np.eye(t_opt.dim, dtype=bool))
     if variant == "as_written":
-        d = np.sqrt(np.diag(t_opt.to_array()))
+        d = np.sqrt(t_opt.packed()[diag])
     else:
-        d = 1.0 / np.sqrt(np.diag(k))
-    scores = d[:, None] * k * d[None, :]
-    return ScoreMatrix(scores=SymmetricMatrix(t_opt.dim, _tril_of(scores)),
+        d = 1.0 / np.sqrt(k[diag])
+    return ScoreMatrix(scores=SymmetricMatrix(t_opt.dim, _tril_of(np.outer(d, d)) * k),
                        variant=variant)
 
 
@@ -124,14 +122,14 @@ def common_neighbors(support: SupportPattern) -> SymmetricMatrix:
     return SymmetricMatrix(support.dim, _tril_of(counts))
 
 
-def _ranked(pairs_with_scores, reverse: bool):
-    """Sort by score (descending if reverse), lexicographic pair order on ties."""
-    key = (lambda ps: (-ps[1], ps[0])) if reverse else (lambda ps: (ps[1], ps[0]))
-    return sorted(pairs_with_scores, key=key)
-
-
-def _boundary_tie(ranked, k: int) -> bool:
-    return 0 < k < len(ranked) and ranked[k - 1][1] == ranked[k][1]
+def _top_k(pairs: list, scores: np.ndarray, k: int, descending: bool):
+    """The first k of ``pairs`` by score, and whether the k-th and the
+    (k+1)-th scores tie. The pairs come sorted and the sort is stable, so
+    equal scores keep lexicographic order."""
+    order = np.argsort(-scores if descending else scores, kind="stable")
+    ranked = scores[order]
+    ties = 0 < k < len(pairs) and bool(ranked[k - 1] == ranked[k])
+    return [pairs[i] for i in order[:k]], ties
 
 
 def plp_baseline(prior_support: SupportPattern, k: int) -> PredictionReport:
@@ -140,18 +138,19 @@ def plp_baseline(prior_support: SupportPattern, k: int) -> PredictionReport:
     if k < 0:
         raise ValueError("need k >= 0")
     dim = prior_support.dim
-    cn = common_neighbors(prior_support)
-    candidates = prior_support.complement().off_diagonal()
+    absent = prior_support.complement().minus(SupportPattern.diagonal(dim))
+    candidates = absent.pairs()
     if k > len(candidates):
         raise ValueError(f"k={k} exceeds the {len(candidates)} absent pairs")
-    ranked = _ranked([(p, cn[p]) for p in candidates], reverse=True)
-    chosen = [p for p, _ in ranked[:k]]
+    # The packed triangle holds the pairs in the sorted order of pairs().
+    scores = common_neighbors(prior_support).packed()[_tril_of(absent.mask())]
+    chosen, ties = _top_k(candidates, scores, k, descending=True)
     predicted = prior_support.union(SupportPattern(dim, chosen)) \
         .union(SupportPattern.diagonal(dim))
     return PredictionReport(
         predicted_support=predicted,
         method_name="common_neighbors",
-        ties=_boundary_tie(ranked, k),
+        ties=ties,
     )
 
 
@@ -164,18 +163,16 @@ def nlp_reversed_baseline(prior_support: SupportPattern,
     if not (0 <= k <= len(edges)):
         raise ValueError(f"k={k} out of range for {len(edges)} edges")
     dim = prior_support.dim
-    scored = []
-    for edge in edges:
-        pruned = prior_support.minus(SupportPattern(dim, [edge]))
-        scored.append((edge, common_neighbors(pruned)[edge]))
-    ranked = _ranked(scored, reverse=False)
-    dropped = [p for p, _ in ranked[:k]]
+    scores = np.array([
+        common_neighbors(prior_support.minus(SupportPattern(dim, [edge])))[edge]
+        for edge in edges])
+    dropped, ties = _top_k(edges, scores, k, descending=False)
     predicted = prior_support.minus(SupportPattern(dim, dropped)) \
         .union(SupportPattern.diagonal(dim))
     return PredictionReport(
         predicted_support=predicted,
         method_name="reversed_common_neighbors",
-        ties=_boundary_tie(ranked, k),
+        ties=ties,
     )
 
 

@@ -19,11 +19,13 @@ choose W (0 where not listed) and F:
 
 The solution covariance is recovered as T_o = (S^-1 + L)^-1.
 
-Convention: the free variables are the stored lower-triangle entries.
-Each off-diagonal variable appears twice in trace terms, so its effective
-smooth gradient is 2 (T_hat - (S^-1+L)^-1)_ij while the penalty weighs it
-once; the prox therefore uses threshold t*gamma and the gradient step uses
-the doubled off-diagonal gradient. KKT checks must use this convention.
+Convention: the free variables are the packed lower triangle that
+SymmetricMatrix stores, and the solver iterates on packed vectors. An
+off-diagonal variable stands for two full-matrix entries, so tr(T_hat L) and
+the smooth gradient 2 (T_hat - (S^-1+L)^-1)_ij share one weight, 2 off the
+diagonal and 1 on it: the only place off-diagonals double. The penalty, the
+prox threshold t*gamma and step norms count each variable once. KKT checks
+must use this convention.
 """
 
 from __future__ import annotations
@@ -34,9 +36,11 @@ import numpy as np
 
 from .ggm import GaussianModel
 from .symmat import (SupportPattern, SymmetricMatrix, _chol_or_none,
-                     _sym_inv_from_chol, _tril_of, support_of)
+                     _factor_or_raise, _log_det_of_factor, _packed_inverse, _pair_weight,
+                     _trace_inner, _tril_of, support_of)
 
 _STEP_FLOOR_FACTOR = 1e-18
+_INFEASIBLE = "infeasible multiplier: S^-1 + L is not positive definite"
 
 
 @dataclass(frozen=True)
@@ -159,34 +163,24 @@ class SolveResult:
 # Smooth part
 # ---------------------------------------------------------------------------
 
-def _feasible_factor(lam: SymmetricMatrix,
-                     s_inv: SymmetricMatrix) -> np.ndarray:
-    factor = _chol_or_none(s_inv.to_array() + lam.to_array())
-    if factor is None:
-        raise ValueError("infeasible multiplier: S^-1 + L is not positive definite")
-    return factor
-
-
 def dual_smooth_value(lam: SymmetricMatrix, s_inv: SymmetricMatrix,
                       t_hat: SymmetricMatrix) -> float:
     """-log det(S^-1 + L) + tr(T_hat L); raises on infeasible L."""
-    factor = _feasible_factor(lam, s_inv)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
-    return -logdet + float(np.sum(t_hat.to_array() * lam.to_array()))
+    factor = _factor_or_raise(s_inv + lam, _INFEASIBLE)
+    return -_log_det_of_factor(factor) + _trace_inner(t_hat.packed(), lam.packed())
 
 
 def dual_smooth_gradient(lam: SymmetricMatrix, s_inv: SymmetricMatrix,
                          t_hat: SymmetricMatrix) -> SymmetricMatrix:
     """Matrix gradient T_hat - (S^-1 + L)^-1 (trace inner product)."""
-    grad = t_hat.to_array() - _sym_inv_from_chol(_feasible_factor(lam, s_inv))
-    return SymmetricMatrix(lam.dim, _tril_of(grad))
+    return t_hat - primal_from_dual(lam, s_inv)
 
 
 def primal_from_dual(lam: SymmetricMatrix,
                      s_inv: SymmetricMatrix) -> SymmetricMatrix:
     """Recovered covariance (S^-1 + L)^-1; raises on infeasible L."""
-    inv = _sym_inv_from_chol(_feasible_factor(lam, s_inv))
-    return SymmetricMatrix(lam.dim, _tril_of(inv))
+    factor = _factor_or_raise(s_inv + lam, _INFEASIBLE)
+    return SymmetricMatrix(lam.dim, _packed_inverse(factor))
 
 
 # ---------------------------------------------------------------------------
@@ -203,43 +197,42 @@ def _soft(v: np.ndarray, thr: float) -> np.ndarray:
 
 
 class _Penalty:
-    """The penalty of one solve (module docstring): L is held at 0 on
-    ``fixed``, and each term adds weight * sum |L_ij + A_ij| over its mask,
-    whose lower half the value sums so that a pair counts once."""
+    """The penalty of one solve (module docstring) on packed triangles: L
+    is held at 0 on ``fixed``, and each term adds weight * sum |L_ij + A_ij|
+    over its mask of off-diagonal entries."""
 
     def __init__(self, spec: PenaltySpec, prior_mask: np.ndarray,
-                 s_inv_arr: np.ndarray):
+                 s_inv: np.ndarray):
         dim = prior_mask.shape[0]
-        offdiag = ~np.eye(dim, dtype=bool)
-        outside, inside = offdiag & ~prior_mask, offdiag & prior_mask
-        self.fixed = np.zeros((dim, dim), dtype=bool)
+        prior = _tril_of(prior_mask)
+        offdiag = ~_tril_of(np.eye(dim, dtype=bool))
+        outside, inside = offdiag & ~prior, offdiag & prior
+        self.fixed = np.zeros_like(prior)
         if spec.kind == "known":
             if spec.omega.dim != dim:
                 raise ValueError("constraint support dimension does not match the model")
-            self.fixed = ~spec.omega.mask()
+            self.fixed = ~_tril_of(spec.omega.mask())
         elif spec.kind == "nlp":
-            self.fixed = ~prior_mask
+            self.fixed = ~prior
         # PenaltySpec sets exactly the weights of its kind; the rest are None.
         weights = ((outside, spec.gamma_p or spec.eta_p),
                    (inside, spec.gamma_n or spec.eta_n))
-        anchor = np.where(inside, s_inv_arr, 0.0)
-        below = np.tril(offdiag)
-        self.terms = [(mask, weight, anchor[mask], mask & below,
-                       anchor[mask & below])
+        anchor = np.where(inside, s_inv, 0.0)
+        self.terms = [(mask, weight, anchor[mask])
                       for mask, weight in weights if weight is not None]
 
-    def prox(self, arr: np.ndarray, step: float) -> np.ndarray:
-        """argmin_X 0.5 ||X - arr||^2 / step + penalty(X), entrywise."""
-        out = arr.copy()
+    def prox(self, x: np.ndarray, step: float) -> np.ndarray:
+        """argmin_y 0.5 ||y - x||^2 / step + penalty(y), entrywise."""
+        out = x.copy()
         out[self.fixed] = 0.0
-        for mask, weight, anchor, _, _ in self.terms:
-            out[mask] = _soft(arr[mask] + anchor, step * weight) - anchor
+        for mask, weight, anchor in self.terms:
+            out[mask] = _soft(x[mask] + anchor, step * weight) - anchor
         return out
 
-    def value(self, arr: np.ndarray) -> float:
+    def value(self, x: np.ndarray) -> float:
         total = 0.0
-        for _, weight, _, low, anchor_low in self.terms:
-            total += weight * float(np.sum(np.abs(arr[low] + anchor_low)))
+        for mask, weight, anchor in self.terms:
+            total += weight * float(np.sum(np.abs(x[mask] + anchor)))
         return total
 
 
@@ -247,8 +240,8 @@ def _prox(lam: SymmetricMatrix, step: float, spec: PenaltySpec,
           s_inv: SymmetricMatrix, prior_support: SupportPattern):
     if step <= 0:
         raise ValueError("step must be positive")
-    penalty = _Penalty(spec, prior_support.mask(), s_inv.to_array())
-    return SymmetricMatrix(lam.dim, _tril_of(penalty.prox(lam.to_array(), step)))
+    penalty = _Penalty(spec, prior_support.mask(), s_inv.packed())
+    return SymmetricMatrix(lam.dim, penalty.prox(lam.packed(), step))
 
 
 def prox_plp(lam: SymmetricMatrix, step: float, gamma_p: float,
@@ -282,12 +275,6 @@ def prox_mixed(lam: SymmetricMatrix, step: float, eta_p: float, eta_n: float,
 # Main solver
 # ---------------------------------------------------------------------------
 
-def _packed_norm_sq(delta: np.ndarray) -> float:
-    # Lower-triangle (free-variable) squared norm: off-diagonals once.
-    return 0.5 * (float(np.sum(delta * delta))
-                  + float(np.sum(np.diag(delta) ** 2)))
-
-
 def random_feasible_start(s_inv: SymmetricMatrix, seed: int,
                           scale: float = 0.5,
                           support: SupportPattern | None = None) -> SymmetricMatrix:
@@ -298,16 +285,14 @@ def random_feasible_start(s_inv: SymmetricMatrix, seed: int,
         raise ValueError("scale must be in (0, 1)")
     dim = s_inv.dim
     rng = np.random.default_rng(seed)
-    g = np.tril(rng.standard_normal((dim, dim)))
-    g = g + np.tril(g, -1).T
+    g = _tril_of(rng.standard_normal((dim, dim)))
     if support is not None:
-        g = np.where(support.mask(), g, 0.0)
-    s_arr = s_inv.to_array()
+        g = np.where(_tril_of(support.mask()), g, 0.0)
     alpha = 1.0
     for _ in range(200):
-        if _chol_or_none(s_arr + alpha * g) is not None:
+        if _chol_or_none(dim, s_inv.packed() + alpha * g) is not None:
             # Convexity of the cone: scaling toward 0 stays strictly inside.
-            return SymmetricMatrix(dim, _tril_of(scale * alpha * g))
+            return SymmetricMatrix(dim, scale * alpha * g)
         alpha *= 0.5
     raise RuntimeError("could not scale the random start into the feasible cone")
 
@@ -328,21 +313,26 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
         raise ValueError("sample covariance dimension does not match the model")
     if not np.isfinite(t_hat.packed()).all():
         raise ValueError("t_hat must be finite: the sample covariance holds NaN or inf")
-    s_inv_arr = model.precision.to_array()
-    t_hat_arr = t_hat.to_array()
-    pen = _Penalty(penalty, model.precision_support.mask(), s_inv_arr)
+    s_inv = model.precision.packed()
+    # One weight for tr(T_hat X) = t_w . x and for the gradient (docstring).
+    weight = _pair_weight(dim)
+    t_w = weight * t_hat.packed()
+    pen = _Penalty(penalty, model.precision_support.mask(), s_inv)
 
-    lam = np.zeros((dim, dim)) if lam0 is None else lam0.to_array()
+    lam = np.zeros(s_inv.size) if lam0 is None else lam0.packed().copy()
     # Hard-constrained kinds start inside their subspace.
     lam[pen.fixed] = 0.0
 
     def objective(x, chol_factor):
         # Composite objective at L = x, given the Cholesky factor of S^-1 + x.
-        return (-2.0 * float(np.sum(np.log(np.diag(chol_factor))))
-                + float(np.sum(t_hat_arr * x)) + pen.value(x))
+        return -_log_det_of_factor(chol_factor) + float(np.dot(t_w, x)) + pen.value(x)
 
-    m_arr = s_inv_arr + lam
-    factor = _chol_or_none(m_arr)
+    def gradient(chol_factor):
+        # Packed inverse (S^-1 + L)^-1 and the free-variable gradient.
+        inv = _packed_inverse(chol_factor)
+        return inv, t_w - weight * inv
+
+    factor = _chol_or_none(dim, s_inv + lam)
     if factor is None:
         raise ValueError("initial multiplier is infeasible")
 
@@ -354,23 +344,16 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
     converged = False
     iterations = 0
 
-    def free_gradient(chol_factor):
-        # Free-variable gradient: doubled off-diagonals, plain diagonal.
-        grad = t_hat_arr - _sym_inv_from_chol(chol_factor)
-        return 2.0 * grad - np.diag(np.diag(grad))
-
-    w = free_gradient(factor)
+    inv, w = gradient(factor)
     for iterations in range(1, cfg.max_iters + 1):
         step = min(cfg.step_init, step / cfg.backtrack_factor)
         accepted = False
         while step >= step_floor:
             cand = pen.prox(lam - step * w, step)
-            m_cand = s_inv_arr + cand
-            cand_factor = _chol_or_none(m_cand)
+            cand_factor = _chol_or_none(dim, s_inv + cand)
             if cand_factor is not None:
                 delta = cand - lam
-                dn2 = _packed_norm_sq(delta)
-                decrease = cfg.armijo_const * dn2 / step
+                decrease = cfg.armijo_const * float(np.dot(delta, delta)) / step
                 f_cand = objective(cand, cand_factor)
                 if f_cand <= f_total - decrease:
                     accepted = True
@@ -381,26 +364,24 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
                 # convexity: f(cand) - f(lam) <= <grad f(cand), delta>, a
                 # cancellation-free quantity; the penalty difference is
                 # added exactly. A tight no-increase guard on the computed
-                # value stays in force.
-                grad_cand = t_hat_arr - _sym_inv_from_chol(cand_factor)
-                certified = (float(np.sum(grad_cand * delta))
-                             + pen.value(cand) - pen.value(lam))
-                if (certified <= -decrease
-                        and f_cand <= f_total + 256 * np.finfo(float).eps
-                        * (1.0 + abs(f_total))):
-                    accepted = True
-                    break
+                # value stays in force; it goes first, as it needs no inverse.
+                if f_cand <= f_total + 256 * np.finfo(float).eps * (1.0 + abs(f_total)):
+                    certified = (float(np.dot(gradient(cand_factor)[1], delta))
+                                 + pen.value(cand) - pen.value(lam))
+                    if certified <= -decrease:
+                        accepted = True
+                        break
             step *= cfg.backtrack_factor
         if not accepted:
             raise RuntimeError(
                 "no feasible descent step found; inputs are pathological")
-        lam, m_arr, factor, f_total = cand, m_cand, cand_factor, f_cand
+        lam, factor, f_total = cand, cand_factor, f_cand
         trace.append(f_total)
         # Fixed-point residual at the new iterate, with its own gradient:
         # the step-normalized distance to one more prox-gradient step.
-        w = free_gradient(factor)
-        probe = pen.prox(lam - step * w, step)
-        residual = np.sqrt(_packed_norm_sq(probe - lam)) / step
+        inv, w = gradient(factor)
+        move = pen.prox(lam - step * w, step) - lam
+        residual = np.sqrt(float(np.dot(move, move))) / step
         if residual <= cfg.grad_tol:
             converged = True
             break
@@ -409,26 +390,23 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
             # constraint set (dual unbounded below).
             break
 
-    lam_sym = SymmetricMatrix(dim, _tril_of(lam))
-    t_opt = SymmetricMatrix(dim, _tril_of(_sym_inv_from_chol(factor)))
     # Exact form of the estimated precision: structural zeros survive.
-    k_opt = SymmetricMatrix(dim, _tril_of(m_arr))
-    k_scale = float(np.max(np.abs(m_arr)))
-    support_raw = support_of(k_opt, cfg.zero_tol * k_scale)
-
+    k_opt = s_inv + lam
+    k_scale = float(np.max(np.abs(k_opt)))
     result = SolveResult(
-        lambda_opt=lam_sym,
-        t_opt=t_opt,
+        lambda_opt=SymmetricMatrix(dim, lam),
+        t_opt=SymmetricMatrix(dim, inv),
         objective_trace=trace,
         iterations=iterations,
         converged=converged,
-        support_estimate_raw=support_raw,
+        support_estimate_raw=support_of(SymmetricMatrix(dim, k_opt),
+                                        cfg.zero_tol * k_scale),
     )
     if penalty.kind == "known":
-        t_opt_arr = t_opt.to_array()
-        result.duality_gap = float(np.sum(lam * (t_hat_arr - t_opt_arr)))
-        diff = np.where(pen.fixed, 0.0, t_opt_arr - t_hat_arr)
-        result.constraint_residual = float(np.linalg.norm(diff))
+        # w is the free gradient at the returned L.
+        result.duality_gap = float(np.dot(w, lam))
+        diff = np.where(pen.fixed, 0.0, inv - t_hat.packed())
+        result.constraint_residual = float(np.sqrt(_trace_inner(diff, diff)))
     return result
 
 

@@ -9,6 +9,8 @@ unordered pair, read back canonically with i >= j.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.linalg
 
@@ -17,9 +19,29 @@ def _packed_size(dim: int) -> int:
     return dim * (dim + 1) // 2
 
 
+@functools.lru_cache(maxsize=8)
+def _lower_mask(dim: int) -> np.ndarray:
+    """Read-only mask whose row-major selection is the packed triangle."""
+    mask = np.tri(dim, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
 def _tril_of(arr: np.ndarray) -> np.ndarray:
     """Packed lower triangle (row-major) of a square array."""
-    return arr[np.tril_indices(arr.shape[0])]
+    return arr[_lower_mask(arr.shape[0])]
+
+
+def _pair_weight(dim: int) -> np.ndarray:
+    """How often each packed entry occurs in the full matrix: 2 off the
+    diagonal, 1 on it. This is the one place off-diagonals double."""
+    return 2.0 - _tril_of(np.eye(dim))
+
+
+def _trace_inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Trace inner product <A, B> = sum_ij A_ij B_ij of two packed triangles."""
+    dim = int(np.sqrt(2 * a.size))  # the size is dim (dim + 1) / 2
+    return float(np.dot(_pair_weight(dim) * a, b))
 
 
 class SymmetricMatrix:
@@ -74,7 +96,7 @@ class SymmetricMatrix:
     def to_array(self) -> np.ndarray:
         """Full dense (dim, dim) array; both triangles filled."""
         full = np.zeros((self.dim, self.dim))
-        full[np.tril_indices(self.dim)] = self._packed
+        full[_lower_mask(self.dim)] = self._packed
         full = full + np.tril(full, -1).T
         return full
 
@@ -245,10 +267,13 @@ def cholesky(a: SymmetricMatrix):
     The None return is the positive-definiteness oracle used throughout:
     no eigendecomposition, and non-PD input is a signal, not a crash.
     """
-    return _chol_or_none(a.to_array())
+    return _chol_or_none(a.dim, a.packed())
 
 
-def _chol_or_none(full: np.ndarray):
+def _chol_or_none(dim: int, packed: np.ndarray):
+    # potrf reads only the lower triangle, so the upper half stays zero.
+    full = np.zeros((dim, dim))
+    full[_lower_mask(dim)] = packed
     # ValueError covers non-finite entries, which are never PD.
     try:
         return scipy.linalg.cholesky(full, lower=True)
@@ -256,32 +281,41 @@ def _chol_or_none(full: np.ndarray):
         return None
 
 
-def _sym_inv_from_chol(factor: np.ndarray) -> np.ndarray:
-    # cho_solve output is symmetric only up to rounding; canonicalize from
-    # the lower triangle.
-    inv = scipy.linalg.cho_solve((factor, True), np.eye(factor.shape[0]))
-    return np.tril(inv) + np.tril(inv, -1).T
+def _factor_or_raise(a: SymmetricMatrix, message: str) -> np.ndarray:
+    """Cholesky factor of ``a``; ValueError(message) if a is not PD."""
+    factor = cholesky(a)
+    if factor is None:
+        raise ValueError(message)
+    return factor
+
+
+def _packed_inverse(factor: np.ndarray) -> np.ndarray:
+    """Packed inverse of L L^T from its lower Cholesky factor L."""
+    # cho_solve output is symmetric only up to rounding; its lower
+    # triangle is the canonical copy.
+    return _tril_of(scipy.linalg.cho_solve((factor, True), np.eye(factor.shape[0])))
+
+
+def _log_det_of_factor(factor: np.ndarray) -> float:
+    """log det(L L^T) from the lower Cholesky factor L."""
+    return 2.0 * float(np.sum(np.log(np.diag(factor))))
 
 
 def log_det(a: SymmetricMatrix) -> float:
     """log det of a positive definite matrix, via its Cholesky factor."""
-    factor = cholesky(a)
-    if factor is None:
-        raise ValueError("log_det requires a positive definite matrix")
-    return float(2.0 * np.sum(np.log(np.diag(factor))))
+    return _log_det_of_factor(
+        _factor_or_raise(a, "log_det requires a positive definite matrix"))
 
 
 def inverse(a: SymmetricMatrix) -> SymmetricMatrix:
     """Inverse of a positive definite matrix; the result is symmetric PD."""
-    factor = cholesky(a)
-    if factor is None:
-        raise ValueError("inverse requires a positive definite matrix")
-    return SymmetricMatrix(a.dim, _tril_of(_sym_inv_from_chol(factor)))
+    factor = _factor_or_raise(a, "inverse requires a positive definite matrix")
+    return SymmetricMatrix(a.dim, _packed_inverse(factor))
 
 
 def frobenius_norm(a: SymmetricMatrix) -> float:
     """Frobenius norm of the full matrix (off-diagonals counted twice)."""
-    return float(np.linalg.norm(a.to_array()))
+    return float(np.sqrt(_trace_inner(a.packed(), a.packed())))
 
 
 def support_of(a: SymmetricMatrix, zero_tol: float) -> SupportPattern:

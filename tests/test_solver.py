@@ -26,6 +26,7 @@ from ggmlink import (
     support_of,
 )
 from ggmlink.solver import _Penalty
+from ggmlink.symmat import _tril_of
 from conftest import make_instance, random_pd, random_symmetric
 
 TRACE_SLACK = 1e-10
@@ -446,23 +447,31 @@ class TestBruteForceEquivalence:
                 SupportPattern(dim, [(1, 1), (2, 2), (3, 3), (2, 1)]))
         res = solve(prior, t_hat, pen, SolverConfig(grad_tol=1e-10))
         s_inv_arr = prior.precision.to_array()
-        penalty = _Penalty(pen, prior.precision_support.mask(), s_inv_arr)
-        tril = np.tril_indices(dim)
-        free = None
-        if pen.kind in ("known", "nlp"):
-            allowed = pen.omega.mask() if pen.kind == "known" \
-                else prior.precision_support.mask()
-            free = allowed[tril]
+        prior_mask = prior.precision_support.mask()
+        omega = pen.omega.mask() if pen.kind == "known" else None
 
-        def unpack(x):
-            a = np.zeros((dim, dim))
-            a[tril] = x
-            return a + np.tril(a, -1).T
+        def penalty_value(lam_arr):
+            # sum_{i>j} W_ij |L_ij + A_ij| from the problem statement, with
+            # A = S^-1 on the prior support; infinite off the fixed set.
+            total = 0.0
+            for i in range(dim):
+                for j in range(i + 1):
+                    exp = expected_entry(pen, i == j, bool(prior_mask[i, j]),
+                                         omega is not None and omega[i, j],
+                                         s_inv_arr[i, j], 1.0)
+                    if exp is None:
+                        if lam_arr[i, j] != 0.0:
+                            return np.inf
+                        continue
+                    anchor, weight = exp
+                    total += weight * abs(lam_arr[i, j] + anchor)
+            return total
 
         def fobj(x):
-            if free is not None and np.any(x[~free] != 0.0):
-                return np.inf
             lam_arr = unpack(x)
+            value = penalty_value(lam_arr)
+            if value == np.inf:
+                return np.inf
             m_arr = s_inv_arr + lam_arr
             try:
                 factor = np.linalg.cholesky(m_arr)
@@ -470,7 +479,7 @@ class TestBruteForceEquivalence:
                 return np.inf
             return (-2.0 * float(np.sum(np.log(np.diag(factor))))
                     + float(np.sum(t_hat.to_array() * lam_arr))
-                    + penalty.value(lam_arr))
+                    + value)
 
         x_star, f_star = compass_minimize(fobj, np.zeros(dim * (dim + 1) // 2))
         t_compass = np.linalg.inv(s_inv_arr + unpack(x_star))
@@ -514,6 +523,12 @@ def prox_cases(draw):
     return spec, prior, omega, s_inv, v, draw(st.floats(0.05, 2.0))
 
 
+def unpack(packed):
+    """Full symmetric array of a packed lower triangle."""
+    dim = (int(np.sqrt(8 * packed.size + 1)) - 1) // 2
+    return SymmetricMatrix(dim, packed).to_array()
+
+
 def expected_entry(spec, diagonal, inside, in_omega, s, t):
     """What the prox of ``spec`` does to one entry, per the problem
     statement: None if the entry is fixed at 0, else (anchor, threshold);
@@ -534,7 +549,7 @@ class TestPenaltyCoreProperties:
     @given(prox_cases())
     def test_prox_matches_scalar_oracle(self, case):
         spec, prior, omega, s_inv, v, t = case
-        out = _Penalty(spec, prior, s_inv).prox(v, t)
+        out = unpack(_Penalty(spec, prior, _tril_of(s_inv)).prox(_tril_of(v), t))
         dim = v.shape[0]
         for i in range(dim):
             for j in range(i + 1):
@@ -553,8 +568,8 @@ class TestPenaltyCoreProperties:
     @given(prox_cases())
     def test_fixed_entries_exactly_zero(self, case):
         spec, prior, omega, s_inv, v, t = case
-        penalty = _Penalty(spec, prior, s_inv)
-        assert np.all(penalty.prox(v, t)[penalty.fixed] == 0.0)
+        penalty = _Penalty(spec, prior, _tril_of(s_inv))
+        assert np.all(penalty.prox(_tril_of(v), t)[penalty.fixed] == 0.0)
 
     @settings(max_examples=100)
     @given(prox_cases())
@@ -563,7 +578,7 @@ class TestPenaltyCoreProperties:
         if spec.kind not in ("nlp", "mixed"):
             return
         weight = spec.gamma_n or spec.eta_n
-        out = _Penalty(spec, prior, s_inv).prox(v, t)
+        out = unpack(_Penalty(spec, prior, _tril_of(s_inv)).prox(_tril_of(v), t))
         killed = (prior & ~np.eye(v.shape[0], dtype=bool)
                   & (np.abs(v + s_inv) <= t * weight))
         assert np.all((s_inv + out)[killed] == 0.0)

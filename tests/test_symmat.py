@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from ggmlink import (
@@ -18,6 +19,7 @@ from ggmlink import (
     write_matrix,
     write_support,
 )
+from ggmlink.symmat import _chol_or_none, _packed_inverse, _trace_inner
 from conftest import random_pd, random_symmetric
 
 
@@ -314,6 +316,65 @@ class TestInverse:
     def test_non_pd_raises(self):
         with pytest.raises(ValueError):
             inverse(SymmetricMatrix.from_array([[0.0, 0.0], [0.0, 0.0]]))
+
+
+def packed_values(dim, lo, hi):
+    n = dim * (dim + 1) // 2
+    return st.lists(st.floats(lo, hi), min_size=n, max_size=n).map(np.array)
+
+
+@st.composite
+def packed_pairs(draw):
+    dim = draw(st.integers(1, 12))
+    return dim, draw(packed_values(dim, -10.0, 10.0)), draw(packed_values(dim, -10.0, 10.0))
+
+
+@st.composite
+def pd_matrices(draw):
+    """A PD matrix of dim 1..12 with a random sparsity pattern, so that its
+    inverse can hold exact zeros (disconnected blocks)."""
+    dim = draw(st.integers(1, 12))
+    n = dim * (dim + 1) // 2
+    keep = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    arr = SymmetricMatrix(dim, np.where(keep, draw(packed_values(dim, -1.0, 1.0)),
+                                        0.0)).to_array()
+    np.fill_diagonal(arr, 0.0)
+    margin = draw(st.floats(0.01, 1.0))
+    np.fill_diagonal(arr, np.sum(np.abs(arr), axis=1) + margin)
+    return SymmetricMatrix.from_array(arr, tol=0.0)
+
+
+class TestPackedKernels:
+    @settings(max_examples=100)
+    @given(packed_pairs())
+    def test_trace_inner_matches_full_sum(self, case):
+        dim, a, b = case
+        prod = SymmetricMatrix(dim, a).to_array() * SymmetricMatrix(dim, b).to_array()
+        assert abs(_trace_inner(a, b) - np.sum(prod)) <= 1e-13 * np.sum(np.abs(prod))
+
+    @settings(max_examples=100)
+    @given(pd_matrices())
+    def test_packed_inverse_is_the_mirrored_inverse_bitwise(self, a):
+        factor = cholesky(a)
+        inv = scipy.linalg.cho_solve((factor, True), np.eye(a.dim))
+        mirrored = np.tril(inv) + np.tril(inv, -1).T
+        expected = mirrored[np.tril_indices(a.dim)]
+        assert _packed_inverse(factor).tobytes() == expected.tobytes()
+
+    @settings(max_examples=100)
+    @given(pd_matrices(), st.data())
+    def test_cholesky_none_on_non_pd_and_non_finite(self, a, data):
+        packed = a.packed().copy()
+        np.testing.assert_array_equal(_chol_or_none(a.dim, packed),
+                                      scipy.linalg.cholesky(a.to_array(), lower=True))
+        diag = [i * (i + 3) // 2 for i in range(a.dim)]
+        non_pd = packed.copy()
+        non_pd[data.draw(st.sampled_from(diag))] = data.draw(st.floats(-1.0, 0.0))
+        assert _chol_or_none(a.dim, non_pd) is None
+        bad = packed.copy()
+        bad[data.draw(st.integers(0, packed.size - 1))] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+        assert _chol_or_none(a.dim, bad) is None
 
 
 class TestFrobenius:
