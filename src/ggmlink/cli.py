@@ -215,9 +215,11 @@ def cmd_fit(scenario_dir, penalty: PenaltySpec,
             solver_cfg: SolverConfig = SolverConfig(),
             t_r: float = DEFAULT_THRESHOLD,
             score_variant: str = "partial_correlation",
-            out_dir=None) -> tuple[SolveResult, PredictionReport | None]:
+            out_dir=None, *,
+            _report: dict | None = None) -> tuple[SolveResult, PredictionReport | None]:
     """Estimate from one scenario directory: sample covariance, solve,
-    score, threshold, evaluate against truth when present; write artifacts."""
+    score, threshold, evaluate against truth when present; write artifacts.
+    ``_report``, when given, receives the report that report.json holds."""
     prior, obs, truth = _load_scenario(scenario_dir)
     t_hat = ggm.sample_covariance(obs)
     result = solver.solve(prior, t_hat, penalty, solver_cfg)
@@ -236,8 +238,7 @@ def cmd_fit(scenario_dir, penalty: PenaltySpec,
                                       method_name=_penalty_tag(penalty))
         report["prediction"] = prediction.to_dict()
         report["e_r"] = ggm.relative_error(truth.covariance, result.t_opt)
-        report["exact_recovery"] = (prediction.false_positives == 0
-                                    and prediction.false_negatives == 0)
+        report["exact_recovery"] = prediction.mispredicted_total == 0
     else:
         report["prediction"] = PredictionReport(
             predicted_support=predicted,
@@ -254,6 +255,8 @@ def cmd_fit(scenario_dir, penalty: PenaltySpec,
     symmat.write_support(predicted,
                          os.path.join(directory, "predicted_support.txt"))
     ggm.save_metadata(report, os.path.join(directory, "report.json"))
+    if _report is not None:
+        _report.update(report)
     return result, prediction
 
 
@@ -281,19 +284,20 @@ def _gamma_label(gamma) -> str:
 def _sweep_cell(root, seed: int, gamma, config: ExperimentConfig) -> dict:
     scenario_dir = _scenario_dir(root, seed)
     penalty = _penalty_from_grid(config.penalty_kind, gamma)
+    # The fit has loaded the truth already, and its report carries e_r.
+    report: dict = {}
     result, prediction = cmd_fit(
-        scenario_dir, penalty, config.solver, config.t_r, config.score_variant)
+        scenario_dir, penalty, config.solver, config.t_r, config.score_variant,
+        _report=report)
     if prediction is None:
         raise ValueError(f"{scenario_dir}: sweep needs the true model on disk")
-    truth = ggm.load_model(scenario_dir, "true")
     return {
         "seed": seed,
         "gamma": _gamma_label(gamma),
-        "e_r": ggm.relative_error(truth.covariance, result.t_opt),
+        "e_r": report["e_r"],
         "false_positives": prediction.false_positives,
         "false_negatives": prediction.false_negatives,
-        "exact_recovery": (prediction.false_positives == 0
-                           and prediction.false_negatives == 0),
+        "exact_recovery": report["exact_recovery"],
         "iterations": result.iterations,
         "converged": result.converged,
         "objective_final": result.objective_trace[-1],

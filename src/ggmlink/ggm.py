@@ -176,7 +176,8 @@ def negative_log_likelihood(sigma: SymmetricMatrix,
     additive constants dropped."""
     if sigma.dim != sigma_hat.dim:
         raise ValueError("dimension mismatch")
-    factor = _factor_or_raise(sigma, "inverse requires a positive definite matrix")
+    factor = _factor_or_raise(
+        sigma, "negative_log_likelihood requires a positive definite sigma")
     return (_log_det_of_factor(factor)
             + _trace_inner(sigma_hat.packed(), _packed_inverse(factor)))
 

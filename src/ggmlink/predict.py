@@ -122,14 +122,19 @@ def common_neighbors(support: SupportPattern) -> SymmetricMatrix:
     return SymmetricMatrix(support.dim, _tril_of(counts))
 
 
-def _top_k(pairs: list, scores: np.ndarray, k: int, descending: bool):
-    """The first k of ``pairs`` by score, and whether the k-th and the
+def _top_k(prior_support: SupportPattern, pool: SupportPattern, k: int,
+           descending: bool):
+    """The first k off-diagonal pairs of ``pool`` by the prior's
+    common-neighbors count, as a pattern, and whether the k-th and the
     (k+1)-th scores tie. The pairs come sorted and the sort is stable, so
     equal scores keep lexicographic order."""
+    pairs = pool.pairs()
+    # The packed triangle holds the pairs in the sorted order of pairs().
+    scores = common_neighbors(prior_support).packed()[_tril_of(pool.mask())]
     order = np.argsort(-scores if descending else scores, kind="stable")
     ranked = scores[order]
     ties = 0 < k < len(pairs) and bool(ranked[k - 1] == ranked[k])
-    return [pairs[i] for i in order[:k]], ties
+    return SupportPattern(pool.dim, [pairs[i] for i in order[:k]]), ties
 
 
 def plp_baseline(prior_support: SupportPattern, k: int) -> PredictionReport:
@@ -137,18 +142,13 @@ def plp_baseline(prior_support: SupportPattern, k: int) -> PredictionReport:
     common-neighbors count; ties broken lexicographically and flagged."""
     if k < 0:
         raise ValueError("need k >= 0")
-    dim = prior_support.dim
-    absent = prior_support.complement().minus(SupportPattern.diagonal(dim))
-    candidates = absent.pairs()
-    if k > len(candidates):
-        raise ValueError(f"k={k} exceeds the {len(candidates)} absent pairs")
-    # The packed triangle holds the pairs in the sorted order of pairs().
-    scores = common_neighbors(prior_support).packed()[_tril_of(absent.mask())]
-    chosen, ties = _top_k(candidates, scores, k, descending=True)
-    predicted = prior_support.union(SupportPattern(dim, chosen)) \
-        .union(SupportPattern.diagonal(dim))
+    diagonal = SupportPattern.diagonal(prior_support.dim)
+    absent = prior_support.complement().minus(diagonal)
+    if k > len(absent):
+        raise ValueError(f"k={k} exceeds the {len(absent)} absent pairs")
+    chosen, ties = _top_k(prior_support, absent, k, descending=True)
     return PredictionReport(
-        predicted_support=predicted,
+        predicted_support=prior_support.union(chosen).union(diagonal),
         method_name="common_neighbors",
         ties=ties,
     )
@@ -159,18 +159,15 @@ def nlp_reversed_baseline(prior_support: SupportPattern,
     """Predict as disappearing the k present edges whose endpoints score
     lowest by common neighbors once that edge is removed; ties broken
     lexicographically and flagged."""
-    edges = prior_support.off_diagonal()
+    diagonal = SupportPattern.diagonal(prior_support.dim)
+    edges = prior_support.minus(diagonal)
     if not (0 <= k <= len(edges)):
         raise ValueError(f"k={k} out of range for {len(edges)} edges")
-    dim = prior_support.dim
-    scores = np.array([
-        common_neighbors(prior_support.minus(SupportPattern(dim, [edge])))[edge]
-        for edge in edges])
-    dropped, ties = _top_k(edges, scores, k, descending=False)
-    predicted = prior_support.minus(SupportPattern(dim, dropped)) \
-        .union(SupportPattern.diagonal(dim))
+    # Removing edge (i, j) changes no term of sum_m A_im A_mj, as the
+    # adjacency has a zero diagonal, so every edge keeps its prior count.
+    dropped, ties = _top_k(prior_support, edges, k, descending=False)
     return PredictionReport(
-        predicted_support=predicted,
+        predicted_support=prior_support.minus(dropped).union(diagonal),
         method_name="reversed_common_neighbors",
         ties=ties,
     )

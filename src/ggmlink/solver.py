@@ -347,7 +347,6 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
     inv, w = gradient(factor)
     for iterations in range(1, cfg.max_iters + 1):
         step = min(cfg.step_init, step / cfg.backtrack_factor)
-        accepted = False
         while step >= step_floor:
             cand = pen.prox(lam - step * w, step)
             cand_factor = _chol_or_none(dim, s_inv + cand)
@@ -356,32 +355,39 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
                 decrease = cfg.armijo_const * float(np.dot(delta, delta)) / step
                 f_cand = objective(cand, cand_factor)
                 if f_cand <= f_total - decrease:
-                    accepted = True
+                    cand_grad = gradient(cand_factor)
                     break
                 # Near the optimum the true decrease drops below the
                 # objective's floating-point resolution and the comparison
-                # above stalls. Certify the decrease instead through
-                # convexity: f(cand) - f(lam) <= <grad f(cand), delta>, a
-                # cancellation-free quantity; the penalty difference is
-                # added exactly. A tight no-increase guard on the computed
-                # value stays in force; it goes first, as it needs no inverse.
+                # above stalls. Certify it instead by convexity, f(cand) -
+                # f(lam) <= <grad f(cand), delta>, and by the prox's
+                # subgradient -delta/step - w at cand, which bounds the
+                # penalty change by <-delta/step - w, delta>: no large terms
+                # cancel. A tight no-increase guard on the computed value
+                # goes first, as it needs no inverse.
                 if f_cand <= f_total + 256 * np.finfo(float).eps * (1.0 + abs(f_total)):
-                    certified = (float(np.dot(gradient(cand_factor)[1], delta))
-                                 + pen.value(cand) - pen.value(lam))
+                    cand_grad = gradient(cand_factor)
+                    certified = (float(np.dot(cand_grad[1] - w, delta))
+                                 - float(np.dot(delta, delta)) / step)
                     if certified <= -decrease:
-                        accepted = True
                         break
             step *= cfg.backtrack_factor
-        if not accepted:
+        else:
             raise RuntimeError(
                 "no feasible descent step found; inputs are pathological")
-        lam, factor, f_total = cand, cand_factor, f_cand
+        lam, f_total = cand, f_cand
         trace.append(f_total)
         # Fixed-point residual at the new iterate, with its own gradient:
         # the step-normalized distance to one more prox-gradient step.
-        inv, w = gradient(factor)
-        move = pen.prox(lam - step * w, step) - lam
-        residual = np.sqrt(float(np.dot(move, move))) / step
+        inv, w = cand_grad
+        probe = step
+        move = pen.prox(lam - probe * w, probe) - lam
+        if probe < cfg.step_init and not move.any():
+            # At a tiny step lam - step * w can round back to lam; the
+            # residual is zero only at the optimum, whatever the step.
+            probe = cfg.step_init
+            move = pen.prox(lam - probe * w, probe) - lam
+        residual = np.sqrt(float(np.dot(move, move))) / probe
         if residual <= cfg.grad_tol:
             converged = True
             break

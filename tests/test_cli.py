@@ -245,6 +245,20 @@ class TestSweep:
         out = cmd_sweep(root, config)
         assert len(out["rows"]) == 1
 
+    def test_cell_loads_each_model_once(self, tmp_path, monkeypatch):
+        config = load_config(write_config(tmp_path / "c.json",
+                                          gamma_grid=[0.1], seeds=[3]))
+        root = tmp_path / "out"
+        cmd_generate(config, out_dir=root)
+        loaded = []
+        load_model = ggm.load_model
+        monkeypatch.setattr(ggm, "load_model", lambda directory, prefix: (
+            loaded.append(prefix) or load_model(directory, prefix)))
+        row = cmd_sweep(root, config)["rows"][0]
+        assert sorted(loaded) == ["prior", "true"]
+        report = json.loads((root / "seed_3" / "fit_plp_0.1" / "report.json").read_text())
+        assert row["e_r"] == report["e_r"]
+
 
 class TestBaselines:
     def test_k_defaults_from_truth(self, scenario_dir, tmp_path):

@@ -126,6 +126,12 @@ class TestNegativeLogLikelihood:
                 continue
             assert negative_log_likelihood(pert, sigma_hat) > base
 
+    def test_non_pd_sigma_named_in_error(self):
+        with pytest.raises(ValueError,
+                           match="negative_log_likelihood requires a positive definite sigma"):
+            negative_log_likelihood(SymmetricMatrix.from_array([[1.0, 2.0], [2.0, 1.0]]),
+                                    SymmetricMatrix.identity(2))
+
 
 class TestDrawSamples:
     def test_deterministic(self, rng):

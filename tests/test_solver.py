@@ -364,6 +364,25 @@ class TestSolvePenalized:
         assert not res.converged
         assert res.iterations == 3
 
+    @pytest.mark.parametrize("grad_tol", [1e-12, 1e-16])
+    def test_rounded_away_move_is_not_convergence(self, grad_tol):
+        # Near the optimum the line search can shrink the step until
+        # lam - step * w rounds back to lam, so that step's probe moves by
+        # exactly zero. Convergence must still mean a small residual at the
+        # full step, which is zero only at the optimum. 1e-16 is below what
+        # the line search can resolve on this instance.
+        gamma, cfg = 0.2, SolverConfig(grad_tol=grad_tol, max_iters=4000)
+        prior, truth, t_hat = make_instance(703374, dim=5, density=0.4, n_obs=300)
+        res = solve(prior, t_hat, PenaltySpec.nlp(gamma), cfg)
+        lam = res.lambda_opt.packed()
+        grad = dual_smooth_gradient(res.lambda_opt, prior.precision, t_hat).packed()
+        w = np.where(_tril_of(np.eye(5, dtype=bool)), 1.0, 2.0) * grad
+        step = cfg.step_init
+        probe = prox_nlp(SymmetricMatrix(5, lam - step * w), step, gamma,
+                         prior.precision, prior.precision_support)
+        residual = np.linalg.norm(probe.packed() - lam) / step
+        assert not res.converged or residual <= cfg.grad_tol
+
     def test_pathological_data_raises(self):
         # Finite but far outside any covariance scale: no step is feasible.
         prior, truth, t_hat = make_instance(45, dim=4)
