@@ -126,10 +126,9 @@ def load_config(path) -> ExperimentConfig:
         seeds=tuple(_typed(s, int, "seeds entry")
                     for s in _typed(raw["seeds"], list, "seeds")),
         gamma_grid=grid,
-        t_r=raw.get("t_r", DEFAULT_THRESHOLD),
-        score_variant=raw.get("score_variant", "partial_correlation"),
         solver=SolverConfig.from_dict(raw.get("solver", {})),
         output_dir=_typed(raw.get("output_dir"), (str, type(None)), "output_dir"),
+        **{name: raw[name] for name in ("t_r", "score_variant") if name in raw},
     )
 
 
@@ -212,13 +211,14 @@ def _penalty_tag(penalty: PenaltySpec) -> str:
 
 
 def cmd_fit(scenario_dir, penalty: PenaltySpec,
-            solver_cfg: SolverConfig = SolverConfig(),
-            t_r: float = DEFAULT_THRESHOLD,
-            score_variant: str = "partial_correlation",
+            solver_cfg: SolverConfig = ExperimentConfig.solver,
+            t_r: float = ExperimentConfig.t_r,
+            score_variant: str = ExperimentConfig.score_variant,
             out_dir=None, *,
             _report: dict | None = None) -> tuple[SolveResult, PredictionReport | None]:
     """Estimate from one scenario directory: sample covariance, solve,
     score, threshold, evaluate against truth when present; write artifacts.
+    The settings default to those of an ExperimentConfig.
     ``_report``, when given, receives the report that report.json holds."""
     prior, obs, truth = _load_scenario(scenario_dir)
     t_hat = ggm.sample_covariance(obs)
@@ -307,24 +307,14 @@ def _sweep_cell(root, seed: int, gamma, config: ExperimentConfig) -> dict:
 
 def cmd_sweep(root, config: ExperimentConfig, threads: int = 1,
               seeds=None) -> dict:
-    """Run every (seed, gamma) cell, write the CSV of rows and a summary
-    JSON; cells are independent and may run concurrently."""
-    seeds = tuple(seeds or config.seeds)
-    cells = [(si, gi, s, g)
-             for si, s in enumerate(seeds)
-             for gi, g in enumerate(config.gamma_grid)]
-    rows = {}
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {
-                pool.submit(_sweep_cell, root, s, g, config): (si, gi)
-                for si, gi, s, g in cells}
-            for fut, key in futures.items():
-                rows[key] = fut.result()
-    else:
-        for si, gi, s, g in cells:
-            rows[(si, gi)] = _sweep_cell(root, s, g, config)
-    ordered = [rows[(si, gi)] for si, gi, _, _ in cells]
+    """Run every (seed, gamma) cell on ``threads`` worker threads, write the
+    CSV of rows and a summary JSON; rows keep the cell order."""
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    cells = [(s, g) for s in (seeds or config.seeds) for g in config.gamma_grid]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        ordered = list(pool.map(lambda cell: _sweep_cell(root, *cell, config),
+                                cells))
 
     csv_path = os.path.join(root, f"sweep_{config.penalty_kind}.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
@@ -504,15 +494,12 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "fit":
-            solver_cfg, t_r, variant = SolverConfig(), DEFAULT_THRESHOLD, \
-                "partial_correlation"
+            settings = ()
             if args.config:
                 config = load_config(args.config)
-                solver_cfg, t_r, variant = config.solver, config.t_r, \
-                    config.score_variant
+                settings = (config.solver, config.t_r, config.score_variant)
             penalty = _fit_penalty_from_args(args)
-            result, prediction = cmd_fit(args.scenario_dir, penalty,
-                                         solver_cfg, t_r, variant,
+            result, prediction = cmd_fit(args.scenario_dir, penalty, *settings,
                                          out_dir=args.out)
             print(f"converged={result.converged} iterations={result.iterations}"
                   f" objective={result.objective_trace[-1]:.6g}")

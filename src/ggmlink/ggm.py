@@ -320,15 +320,15 @@ def save_observations(obs: ObservationSet, path) -> None:
 
 
 def load_observations(path, seed: int | None = None) -> ObservationSet:
-    rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if ln:
-                rows.append([float(tok) for tok in ln.split(",")])
-    if not rows:
+        text = fh.read()
+    # Empty input is caught here: loadtxt only warns, and silencing that
+    # warning edits the process-wide filters that sweep threads share.
+    # With comments off, any other text parses to rows or raises.
+    if not text.strip():
         raise ValueError(f"{path}: no observations")
-    return ObservationSet(samples=np.array(rows), seed=seed)
+    samples = np.loadtxt(text.splitlines(), delimiter=",", ndmin=2, comments=None)
+    return ObservationSet(samples=samples, seed=seed)
 
 
 def save_metadata(meta: dict, path) -> None:

@@ -353,7 +353,7 @@ def write_matrix(a: SymmetricMatrix, path, header: str | None = None) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_matrix(path, tol: float = 1e-12) -> SymmetricMatrix:
+def read_matrix(path) -> SymmetricMatrix:
     lines = _data_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty matrix file")
@@ -364,7 +364,7 @@ def read_matrix(path, tol: float = 1e-12) -> SymmetricMatrix:
     arr = np.array(rows, dtype=np.float64)
     if arr.shape != (dim, dim):
         raise ValueError(f"{path}: malformed rows for dim {dim}")
-    return SymmetricMatrix.from_array(arr, tol=tol)
+    return SymmetricMatrix.from_array(arr)
 
 
 def write_support(omega: SupportPattern, path, header: str | None = None) -> None:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import pytest
 
@@ -436,6 +437,45 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "non-finite observations" in err
         assert "no feasible descent step" not in err
+
+    @pytest.mark.parametrize("text", ["", "1.0,abc\n", "1.0,2.0\n3.0\n"],
+                             ids=["empty", "non_numeric", "ragged"])
+    def test_malformed_observations_exit_one(self, tmp_path, capsys, text):
+        cfg_path = write_config(tmp_path / "c.json")
+        assert main(["generate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 0
+        scen = tmp_path / "out" / "seed_0"
+        (scen / "observations.csv").write_text(text)
+        capsys.readouterr()
+        # An empty file must not reach loadtxt's "no data" warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fit", str(scen), "--penalty", "plp", "--gamma", "0.1"])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        if not text:
+            assert "no observations" in err[0]
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_sweep_threads_below_one_exit_one(self, tmp_path, capsys, threads):
+        cfg_path = write_config(tmp_path / "c.json",
+                                output_dir=str(tmp_path / "out"))
+        assert main(["sweep", "--config", str(cfg_path),
+                     "--threads", threads]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: threads must be >= 1"]
+
+    @pytest.mark.parametrize("name", ["step_init", "backtrack_factor",
+                                      "armijo_const", "zero_tol",
+                                      "divergence_bound"])
+    def test_removed_solver_fields_exit_one(self, tmp_path, capsys, name):
+        cfg_path = write_config(tmp_path / "c.json", solver={name: 0.5})
+        assert main(["generate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "unknown solver config fields" in err[0]
 
     def test_bad_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:

@@ -11,6 +11,7 @@ from ggmlink import (
     SupportPattern,
     SymmetricMatrix,
     cholesky,
+    draw_samples,
     dual_smooth_gradient,
     dual_smooth_value,
     frobenius_norm,
@@ -21,11 +22,12 @@ from ggmlink import (
     prox_nlp,
     prox_plp,
     random_feasible_start,
+    sample_covariance,
     solve,
     solve_known_support,
     support_of,
 )
-from ggmlink.solver import _Penalty
+from ggmlink.solver import _STEP_INIT, _Penalty
 from ggmlink.symmat import _tril_of
 from conftest import make_instance, random_pd, random_symmetric
 
@@ -248,9 +250,6 @@ class TestPenaltySpec:
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
-        assert cfg.step_init == 1.0
-        assert cfg.backtrack_factor == 0.5
-        assert cfg.armijo_const == 1e-4
         assert cfg.grad_tol == 1e-7
         assert cfg.max_iters == 50000
 
@@ -262,11 +261,14 @@ class TestSolverConfig:
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
-            SolverConfig(backtrack_factor=1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(armijo_const=0.0)
-        with pytest.raises(ValueError):
             SolverConfig(grad_tol=-1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_grad_tol_rejected(self, bad):
+        # A NaN tolerance never passes the residual test: the fit would
+        # run to max_iters.
+        with pytest.raises(ValueError, match="grad_tol must be finite"):
+            SolverConfig.from_dict({"grad_tol": bad})
 
 
 class TestSolvePenalized:
@@ -377,11 +379,23 @@ class TestSolvePenalized:
         lam = res.lambda_opt.packed()
         grad = dual_smooth_gradient(res.lambda_opt, prior.precision, t_hat).packed()
         w = np.where(_tril_of(np.eye(5, dtype=bool)), 1.0, 2.0) * grad
-        step = cfg.step_init
+        step = _STEP_INIT
         probe = prox_nlp(SymmetricMatrix(5, lam - step * w), step, gamma,
                          prior.precision, prior.precision_support)
         residual = np.linalg.norm(probe.packed() - lam) / step
         assert not res.converged or residual <= cfg.grad_tol
+
+    def test_objective_floor_stops_the_fit(self):
+        # A bounded fit whose objective is simply large: t_hat near 1e5 I
+        # against a prior precision of 1e5 I. The floor stops it after one
+        # step; without the floor it runs all 50 iterations.
+        big = SymmetricMatrix.from_array(1e5 * np.eye(3))
+        prior = GaussianModel.from_precision(big)
+        t_hat = sample_covariance(draw_samples(big, 500, seed=4))
+        res = solve(prior, t_hat, PenaltySpec.plp(0.1), SolverConfig(max_iters=50))
+        assert res.iterations == 1
+        assert not res.converged
+        assert res.objective_trace[-1] < -1e10
 
     def test_pathological_data_raises(self):
         # Finite but far outside any covariance scale: no step is feasible.
