@@ -45,6 +45,14 @@ _STEP_INIT = 1.0
 _BACKTRACK_FACTOR = 0.5
 _ARMIJO_CONST = 1e-4
 _STEP_FLOOR = 1e-18
+# Clip range of the Barzilai-Borwein trial step.
+_BB_STEP_MIN = 1e-6
+_BB_STEP_MAX = 1e6
+# A fit whose residual has not reached a new minimum for this many
+# iterations stops, flagged as not converged: its grad_tol is below what
+# the computed objective can resolve. Converging fits measured on both
+# benchmark workloads set a new minimum at least every 6 iterations.
+_STALL_ITERS = 500
 # The support estimate keeps |K_ij| above this share of max |K|.
 _SUPPORT_REL_TOL = 1e-8
 # A fit whose objective falls below this stops, flagged as not converged.
@@ -272,6 +280,18 @@ def prox_mixed(lam: SymmetricMatrix, step: float, eta_p: float, eta_n: float,
 # Main solver
 # ---------------------------------------------------------------------------
 
+def _bb_step(delta: np.ndarray, dg: np.ndarray) -> float:
+    """Barzilai-Borwein (BB1) trial step <dx, dx> / <dx, dg> from the last
+    accepted move dx and the change dg in the free gradient, clipped to
+    [_BB_STEP_MIN, _BB_STEP_MAX]; _STEP_INIT when the curvature <dx, dg> is
+    not positive and finite."""
+    curvature = float(np.dot(delta, dg))
+    if not 0.0 < curvature < np.inf:
+        return _STEP_INIT
+    return min(max(float(np.dot(delta, delta)) / curvature, _BB_STEP_MIN),
+               _BB_STEP_MAX)
+
+
 def random_feasible_start(s_inv: SymmetricMatrix, seed: int,
                           support: SupportPattern | None = None) -> SymmetricMatrix:
     """Random symmetric multiplier, scaled into the feasible cone and then
@@ -294,13 +314,15 @@ def random_feasible_start(s_inv: SymmetricMatrix, seed: int,
 def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
           cfg: SolverConfig = SolverConfig(),
           lam0: SymmetricMatrix | None = None) -> SolveResult:
-    """Proximal-gradient descent on the penalized dual functional.
+    """Proximal-gradient descent on the penalized dual functional (G-ISTA).
 
-    Backtracking rejects any candidate whose S^-1 + L fails the Cholesky
-    feasibility test and otherwise enforces sufficient decrease of the
-    composite objective. Terminates when the proximal-gradient residual
-    (step-normalized move, lower-triangle norm) drops to cfg.grad_tol.
-    Non-convergence is flagged, not raised.
+    Each line search starts from the Barzilai-Borwein step of the last
+    accepted move. Backtracking rejects any candidate whose S^-1 + L fails
+    the Cholesky feasibility test and otherwise enforces sufficient decrease
+    of the composite objective. Terminates when the proximal-gradient
+    residual (step-normalized move, lower-triangle norm) drops to
+    cfg.grad_tol. A fit that reaches max_iters, or whose residual stops
+    improving, is flagged as not converged, not raised.
     """
     dim = model.dim
     if t_hat.dim != dim:
@@ -336,10 +358,10 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
     step = _STEP_INIT
     converged = False
     iterations = 0
+    best_residual, best_iteration = np.inf, 0
 
     inv, w = gradient(factor)
     for iterations in range(1, cfg.max_iters + 1):
-        step = min(_STEP_INIT, step / _BACKTRACK_FACTOR)
         while step >= _STEP_FLOOR:
             cand = pen.prox(lam - step * w, step)
             cand_factor = _chol_or_none(dim, s_inv + cand)
@@ -370,10 +392,11 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
                 "no feasible descent step found; inputs are pathological")
         lam, f_total = cand, f_cand
         trace.append(f_total)
+        probe = step
+        step = _bb_step(delta, cand_grad[1] - w)
         # Fixed-point residual at the new iterate, with its own gradient:
         # the step-normalized distance to one more prox-gradient step.
         inv, w = cand_grad
-        probe = step
         move = pen.prox(lam - probe * w, probe) - lam
         if probe < _STEP_INIT and not move.any():
             # At a tiny step lam - step * w can round back to lam; the
@@ -389,6 +412,10 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
             # logarithmically, so an unbounded fit never gets here and runs
             # to max_iters, while a bounded fit with a large objective (a
             # precision near 1e5 I) stops here at once.
+            break
+        if residual < best_residual:
+            best_residual, best_iteration = residual, iterations
+        elif iterations - best_iteration >= _STALL_ITERS:
             break
 
     # Exact form of the estimated precision: structural zeros survive.

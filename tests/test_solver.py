@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ggmlink import (
     GaussianModel,
@@ -27,7 +28,8 @@ from ggmlink import (
     solve_known_support,
     support_of,
 )
-from ggmlink.solver import _STEP_INIT, _Penalty
+from ggmlink.solver import (_BB_STEP_MAX, _BB_STEP_MIN, _STEP_INIT, _Penalty,
+                            _bb_step)
 from ggmlink.symmat import _tril_of
 from conftest import make_instance, random_pd, random_symmetric
 
@@ -366,6 +368,24 @@ class TestSolvePenalized:
         assert not res.converged
         assert res.iterations == 3
 
+    def test_unreachable_grad_tol_stops_on_stall(self):
+        # 1e-16 is below what the computed objective resolves here: the
+        # best residual, about 2.5e-16, comes within the first 60 iterations
+        # and is never beaten. The fit ends once it stalls, not at max_iters.
+        prior, truth, t_hat = make_instance(703374, dim=5, density=0.4, n_obs=300)
+        res = solve(prior, t_hat, PenaltySpec.nlp(0.2), SolverConfig(grad_tol=1e-16))
+        assert not res.converged
+        assert res.iterations < 1000
+
+    def test_iteration_budget(self):
+        # Barzilai-Borwein trial steps take 73/39/54 iterations here; a
+        # trial step that only doubles up to 1 takes 197/129/151.
+        prior, truth, t_hat = make_instance(7, dim=30, density=0.1, n_obs=120)
+        results = [solve(prior, t_hat, pen) for pen in (
+            PenaltySpec.plp(0.1), PenaltySpec.nlp(0.3), PenaltySpec.mixed(0.1, 0.3))]
+        assert all(res.converged for res in results)
+        assert sum(res.iterations for res in results) <= 250
+
     @pytest.mark.parametrize("grad_tol", [1e-12, 1e-16])
     def test_rounded_away_move_is_not_convergence(self, grad_tol):
         # Near the optimum the line search can shrink the step until
@@ -643,12 +663,39 @@ class TestPenaltyCoreProperties:
         t_hat_p = SymmetricMatrix.from_array(permuted(t_hat.to_array()))
         res_p = solve(prior_p, t_hat_p, penalties[1], cfg)
         assert res.converged and res_p.converged
-        # Penalized fits stop within about 5e-9 of each other whatever
-        # grad_tol is: below that the line search cannot resolve the
-        # objective.
+        # The two fits agree to within about 0.4 grad_tol, relative: at
+        # grad_tol 1e-10 the largest gap over 60 random instances per kind
+        # was 3.9e-11.
         t_opt = res.t_opt.to_array()
         diff = res_p.t_opt.to_array() - permuted(t_opt)
-        assert np.linalg.norm(diff) <= 1e-8 * np.linalg.norm(t_opt)
+        assert np.linalg.norm(diff) <= 1e-9 * np.linalg.norm(t_opt)
+
+
+class TestBarzilaiBorweinStep:
+    @settings(max_examples=300)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        arrays(np.float64, n, elements=st.floats()),
+        arrays(np.float64, n, elements=st.floats()))))
+    @example((np.array([1.0, 0.0]), np.array([0.0, 1.0])))
+    @example((np.array([1.0]), np.array([-1.0])))
+    @example((np.array([1.0]), np.array([np.nan])))
+    @example((np.array([1.0]), np.array([np.inf])))
+    @example((np.array([1e200]), np.array([1e200])))
+    @example((np.array([1e-200]), np.array([1e200])))
+    def test_clipped_or_fallback(self, pair):
+        delta, dg = pair
+        with np.errstate(all="ignore"):
+            curvature = float(np.dot(delta, dg))
+            step = _bb_step(delta, dg)
+        assert _BB_STEP_MIN <= step <= _BB_STEP_MAX
+        if not 0.0 < curvature < np.inf:
+            assert step == _STEP_INIT
+
+    def test_quadratic_curvature(self):
+        # On f = 0.5 * c * ||x||^2 the gradient change is c * dx, so the
+        # step is 1 / c.
+        delta = np.array([0.3, -1.2, 2.0])
+        assert _bb_step(delta, 4.0 * delta) == pytest.approx(0.25, rel=1e-15)
 
 
 class TestRandomFeasibleStart:
