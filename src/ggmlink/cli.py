@@ -215,12 +215,16 @@ def cmd_fit(scenario_dir, penalty: PenaltySpec,
             t_r: float = ExperimentConfig.t_r,
             score_variant: str = ExperimentConfig.score_variant,
             out_dir=None, *,
-            _report: dict | None = None) -> tuple[SolveResult, PredictionReport | None]:
+            _report: dict | None = None,
+            _scenario: tuple | None = None) -> tuple[SolveResult, PredictionReport | None]:
     """Estimate from one scenario directory: sample covariance, solve,
     score, threshold, evaluate against truth when present; write artifacts.
     The settings default to those of an ExperimentConfig.
-    ``_report``, when given, receives the report that report.json holds."""
-    prior, obs, truth = _load_scenario(scenario_dir)
+    ``_report``, when given, receives the report that report.json holds.
+    ``_scenario``, when given, is the ``(prior, obs, truth)`` already
+    loaded from ``scenario_dir``, and the directory is not read again."""
+    prior, obs, truth = (_scenario if _scenario is not None
+                         else _load_scenario(scenario_dir))
     t_hat = ggm.sample_covariance(obs)
     result = solver.solve(prior, t_hat, penalty, solver_cfg)
     scores = predict.score_matrix(result.t_opt, score_variant)
@@ -281,16 +285,25 @@ def _gamma_label(gamma) -> str:
     return f"{gamma:g}"
 
 
-def _sweep_cell(root, seed: int, gamma, config: ExperimentConfig) -> dict:
+def _sweep_seed(root, seed: int, config: ExperimentConfig) -> list:
+    """The rows of every gamma cell of one seed, in grid order. The
+    scenario is loaded once and shared by the cells."""
     scenario_dir = _scenario_dir(root, seed)
+    scenario = _load_scenario(scenario_dir)
+    if scenario[2] is None:
+        raise ValueError(f"{scenario_dir}: sweep needs the true model on disk")
+    return [_sweep_cell(scenario_dir, seed, gamma, config, scenario)
+            for gamma in config.gamma_grid]
+
+
+def _sweep_cell(scenario_dir, seed: int, gamma, config: ExperimentConfig,
+                scenario: tuple) -> dict:
     penalty = _penalty_from_grid(config.penalty_kind, gamma)
-    # The fit has loaded the truth already, and its report carries e_r.
+    # The truth is on hand, so the report carries e_r.
     report: dict = {}
     result, prediction = cmd_fit(
         scenario_dir, penalty, config.solver, config.t_r, config.score_variant,
-        _report=report)
-    if prediction is None:
-        raise ValueError(f"{scenario_dir}: sweep needs the true model on disk")
+        _report=report, _scenario=scenario)
     return {
         "seed": seed,
         "gamma": _gamma_label(gamma),
@@ -307,14 +320,15 @@ def _sweep_cell(root, seed: int, gamma, config: ExperimentConfig) -> dict:
 
 def cmd_sweep(root, config: ExperimentConfig, threads: int = 1,
               seeds=None) -> dict:
-    """Run every (seed, gamma) cell on ``threads`` worker threads, write the
-    CSV of rows and a summary JSON; rows keep the cell order."""
+    """Run the seeds on ``threads`` worker threads, each seed's gamma cells
+    in turn on one thread; write the CSV of rows and a summary JSON. Rows
+    keep the (seed, gamma) order."""
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    cells = [(s, g) for s in (seeds or config.seeds) for g in config.gamma_grid]
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        ordered = list(pool.map(lambda cell: _sweep_cell(root, *cell, config),
-                                cells))
+        ordered = [row for rows in pool.map(
+            lambda s: _sweep_seed(root, s, config), seeds or config.seeds)
+            for row in rows]
 
     csv_path = os.path.join(root, f"sweep_{config.penalty_kind}.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:

@@ -41,7 +41,8 @@ def tree_bytes(root):
     for dirpath, _, files in os.walk(root):
         for name in sorted(files):
             full = os.path.join(dirpath, name)
-            out[os.path.relpath(full, root)] = open(full, "rb").read()
+            with open(full, "rb") as fh:
+                out[os.path.relpath(full, root)] = fh.read()
     return out
 
 
@@ -223,8 +224,42 @@ class TestSweep:
             root = tmp_path / sub
             cmd_generate(config, out_dir=root)
             cmd_sweep(root, config, threads=threads)
-        assert (open(tmp_path / "seq" / "sweep_plp.csv", "rb").read()
-                == open(tmp_path / "par" / "sweep_plp.csv", "rb").read())
+        # Every file: scenarios, CSV, summary and each fit directory.
+        assert tree_bytes(tmp_path / "seq") == tree_bytes(tmp_path / "par")
+
+    def test_standalone_fit_matches_sweep_cell(self, tmp_path):
+        # The sweep hands its loaded scenario to cmd_fit; a fit that reads
+        # the directory itself must write the same bytes.
+        config = load_config(write_config(tmp_path / "c.json"))
+        root = tmp_path / "out"
+        cmd_generate(config, out_dir=root)
+        cmd_sweep(root, config)
+        for seed in config.seeds:
+            scen = root / f"seed_{seed}"
+            for gamma in config.gamma_grid:
+                alone = tmp_path / "alone" / f"{seed}_{gamma:g}"
+                cmd_fit(scen, PenaltySpec.plp(gamma), config.solver,
+                        config.t_r, config.score_variant, out_dir=alone)
+                assert tree_bytes(alone) == tree_bytes(scen / f"fit_plp_{gamma:g}")
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_sweep_loads_each_scenario_once_per_seed(self, tmp_path,
+                                                     monkeypatch, threads):
+        config = load_config(write_config(tmp_path / "c.json",
+                                          seeds=[0, 1, 2]))
+        root = tmp_path / "out"
+        cmd_generate(config, out_dir=root)
+        models, observations = [], []
+        load_model, load_observations = ggm.load_model, ggm.load_observations
+        monkeypatch.setattr(ggm, "load_model", lambda *args: (
+            models.append(args) or load_model(*args)))
+        monkeypatch.setattr(ggm, "load_observations", lambda *args: (
+            observations.append(args) or load_observations(*args)))
+        out = cmd_sweep(root, config, threads=threads)
+        seeds = len(config.seeds)
+        assert len(out["rows"]) == seeds * len(config.gamma_grid) == 9
+        assert len(models) == 2 * seeds
+        assert len(observations) == seeds
 
     def test_mixed_penalty_sweep(self, tmp_path):
         config = load_config(write_config(
@@ -456,6 +491,22 @@ class TestMainEntry:
         assert len(err) == 1
         if not text:
             assert "no observations" in err[0]
+
+    def test_sweep_without_truth_fails_before_fitting(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "c.json", seeds=[0],
+                                output_dir=str(tmp_path / "out"))
+        assert main(["generate", "--config", str(cfg_path)]) == 0
+        scen = tmp_path / "out" / "seed_0"
+        truth_files = list(scen.glob("true_*"))
+        assert len(truth_files) == 3
+        for path in truth_files:
+            path.unlink()
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "sweep needs the true model on disk" in err[0]
+        assert not list(scen.glob("fit_*"))
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_sweep_threads_below_one_exit_one(self, tmp_path, capsys, threads):
