@@ -35,7 +35,11 @@ SWEEP_SCHEMA = "ggmlink sweep schema v1"
 SWEEP_COLUMNS = ("seed", "gamma", "e_r", "false_positives", "false_negatives",
                  "exact_recovery", "iterations", "converged")
 
-PENALTY_KINDS = ("plp", "nlp", "mixed", "known")
+
+def _gamma_label(gamma) -> str:
+    if isinstance(gamma, tuple):
+        return f"{gamma[0]:g}/{gamma[1]:g}"
+    return f"{gamma:g}"
 
 
 @dataclass(frozen=True)
@@ -53,35 +57,35 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("N must be >= 1")
-        if self.penalty_kind not in PENALTY_KINDS:
-            raise ValueError(f"penalty_kind must be one of {PENALTY_KINDS}")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be distinct: {list(self.seeds)}")
         if not self.gamma_grid:
             raise ValueError("gamma_grid must be non-empty")
-        for g in self.gamma_grid:
-            if self.penalty_kind == "mixed":
-                if not (isinstance(g, tuple) and len(g) == 2):
-                    raise ValueError(
-                        "mixed gamma_grid entries must be [eta_p, eta_n] pairs")
-            elif isinstance(g, tuple):
-                raise ValueError(
-                    f"{self.penalty_kind} gamma_grid entries must be scalars")
-            vals = g if isinstance(g, tuple) else (g,)
-            # NaN and inf fail the comparison.
-            if not all(isinstance(v, (int, float)) and 0.0 < v < np.inf
-                       for v in vals):
-                raise ValueError("gamma_grid entries must be finite and positive")
+        for gamma in self.gamma_grid:
+            PenaltySpec.from_gamma(self.penalty_kind, gamma)
+        # A label names a fit directory and a summary group.
+        labels = [_gamma_label(g) for g in self.gamma_grid]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"gamma_grid labels must be distinct: {labels}")
         if self.score_variant not in predict.SCORE_VARIANTS:
             raise ValueError(f"unknown score_variant {self.score_variant!r}")
-        if not (isinstance(self.t_r, (int, float)) and 0.0 < self.t_r < np.inf):
+        # NaN and inf fail the comparison.
+        if not 0.0 < self.t_r < np.inf:
             raise ValueError("t_r must be finite and strictly positive")
 
 
-_CONFIG_FIELDS = {"scenario", "N", "penalty_kind", "gamma_grid", "t_r",
-                  "score_variant", "seeds", "solver", "output_dir"}
-_SCENARIO_TYPES = {"dim": int, "edge_density": (int, float), "n_add": int,
+_NUMBER = (int, float)
+_NULL = type(None)
+# The JSON types of each object's fields.
+_CONFIG_TYPES = {"scenario": dict, "N": int, "penalty_kind": str,
+                 "seeds": list, "gamma_grid": (list, _NULL), "t_r": _NUMBER,
+                 "score_variant": str, "solver": dict,
+                 "output_dir": (str, _NULL)}
+_SCENARIO_TYPES = {"dim": int, "edge_density": _NUMBER, "n_add": int,
                    "n_remove": int, "seed": int}
+_SOLVER_TYPES = {"max_iters": int, "grad_tol": _NUMBER}
 
 
 def _typed(value, types, name: str):
@@ -91,44 +95,46 @@ def _typed(value, types, name: str):
     return value
 
 
+def _fields(raw, types: dict, required, name: str, prefix: str) -> dict:
+    """``raw`` if it is a JSON object whose fields are all in ``types``,
+    each of its types there, and include ``required``. Messages call the
+    object ``name`` and each field ``prefix + field``."""
+    unknown = set(_typed(raw, dict, name)) - set(types)
+    if unknown:
+        raise ValueError(f"unknown {name} fields: {sorted(unknown)}")
+    for field in required:
+        if field not in raw:
+            raise ValueError(f"{name} is missing required field {field!r}")
+    for field, value in raw.items():
+        _typed(value, types[field], prefix + field)
+    return raw
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse a JSON experiment config; unknown fields and values of the
     wrong type are rejected."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = _typed(json.load(fh), dict, "config")
-    unknown = set(raw) - _CONFIG_FIELDS
-    if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    for req in ("scenario", "N", "penalty_kind", "seeds"):
-        if req not in raw:
-            raise ValueError(f"config is missing required field {req!r}")
-    sc_raw = _typed(raw["scenario"], dict, "scenario")
-    unknown = set(sc_raw) - set(_SCENARIO_TYPES)
-    if unknown:
-        raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
-    for name, types in _SCENARIO_TYPES.items():
-        if name not in sc_raw:
-            raise ValueError(f"scenario is missing required field {name!r}")
-        _typed(sc_raw[name], types, f"scenario.{name}")
-    scenario = ScenarioSpec(**sc_raw)
-    kind = _typed(raw["penalty_kind"], str, "penalty_kind")
-    grid_raw = raw.get("gamma_grid")
-    if grid_raw is None:
+        raw = _fields(json.load(fh), _CONFIG_TYPES,
+                      ("scenario", "N", "penalty_kind", "seeds"), "config", "")
+    scenario = _fields(raw["scenario"], _SCENARIO_TYPES, _SCENARIO_TYPES,
+                       "scenario", "scenario.")
+    solver_cfg = _fields(raw.get("solver", {}), _SOLVER_TYPES, (),
+                         "solver config", "solver.")
+    kind = raw["penalty_kind"]
+    grid = raw.get("gamma_grid")
+    if grid is None:
         if kind not in DEFAULT_GAMMA_GRIDS:
             raise ValueError(f"gamma_grid is required for penalty {kind!r}")
-        grid_raw = DEFAULT_GAMMA_GRIDS[kind]
-    grid = tuple(tuple(g) if isinstance(g, list) else g
-                 for g in _typed(grid_raw, list, "gamma_grid"))
+        grid = DEFAULT_GAMMA_GRIDS[kind]
     return ExperimentConfig(
-        scenario=scenario,
-        n=_typed(raw["N"], int, "N"),
+        scenario=ScenarioSpec(**scenario),
+        n=raw["N"],
         penalty_kind=kind,
-        seeds=tuple(_typed(s, int, "seeds entry")
-                    for s in _typed(raw["seeds"], list, "seeds")),
-        gamma_grid=grid,
-        solver=SolverConfig.from_dict(raw.get("solver", {})),
-        output_dir=_typed(raw.get("output_dir"), (str, type(None)), "output_dir"),
-        **{name: raw[name] for name in ("t_r", "score_variant") if name in raw},
+        seeds=tuple(_typed(s, int, "seeds entry") for s in raw["seeds"]),
+        gamma_grid=tuple(tuple(g) if isinstance(g, list) else g for g in grid),
+        solver=SolverConfig(**solver_cfg),
+        **{name: raw[name] for name in ("t_r", "score_variant", "output_dir")
+           if name in raw},
     )
 
 
@@ -268,23 +274,6 @@ def cmd_fit(scenario_dir, penalty: PenaltySpec,
 # Sweep
 # ---------------------------------------------------------------------------
 
-def _penalty_from_grid(kind: str, gamma) -> PenaltySpec:
-    if kind == "plp":
-        return PenaltySpec.plp(float(gamma))
-    if kind == "nlp":
-        return PenaltySpec.nlp(float(gamma))
-    if kind == "mixed":
-        eta_p, eta_n = gamma
-        return PenaltySpec.mixed(float(eta_p), float(eta_n))
-    raise ValueError(f"sweep does not support penalty kind {kind!r}")
-
-
-def _gamma_label(gamma) -> str:
-    if isinstance(gamma, tuple):
-        return f"{gamma[0]:g}/{gamma[1]:g}"
-    return f"{gamma:g}"
-
-
 def _sweep_seed(root, seed: int, config: ExperimentConfig) -> list:
     """The rows of every gamma cell of one seed, in grid order. The
     scenario is loaded once and shared by the cells."""
@@ -298,7 +287,7 @@ def _sweep_seed(root, seed: int, config: ExperimentConfig) -> list:
 
 def _sweep_cell(scenario_dir, seed: int, gamma, config: ExperimentConfig,
                 scenario: tuple) -> dict:
-    penalty = _penalty_from_grid(config.penalty_kind, gamma)
+    penalty = PenaltySpec.from_gamma(config.penalty_kind, gamma)
     # The truth is on hand, so the report carries e_r.
     report: dict = {}
     result, prediction = cmd_fit(
@@ -436,12 +425,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_gamma(text: str):
-    if "," in text:
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"bad gamma pair {text!r}")
-        return (float(parts[0]), float(parts[1]))
-    return float(text)
+    parts = tuple(float(part) for part in text.split(","))
+    return parts if len(parts) > 1 else parts[0]
 
 
 def _build_parser() -> _Parser:
@@ -457,7 +442,8 @@ def _build_parser() -> _Parser:
 
     p_fit = sub.add_parser("fit", help="fit one scenario")
     p_fit.add_argument("scenario_dir")
-    p_fit.add_argument("--penalty", required=True, choices=PENALTY_KINDS)
+    p_fit.add_argument("--penalty", required=True,
+                       choices=tuple(PenaltySpec._FIELDS))
     p_fit.add_argument("--gamma", default=None,
                        help="weight, or ETA_P,ETA_N for mixed")
     p_fit.add_argument("--config", default=None)
@@ -489,11 +475,7 @@ def _fit_penalty_from_args(args) -> PenaltySpec:
         return PenaltySpec.known_support(omega)
     if args.gamma is None:
         raise ValueError(f"--gamma is required for penalty {kind!r}")
-    gamma = _parse_gamma(args.gamma)
-    if isinstance(gamma, tuple) != (kind == "mixed"):
-        raise ValueError("mixed penalty takes --gamma ETA_P,ETA_N" if kind == "mixed"
-                         else f"penalty {kind!r} takes a single --gamma value")
-    return _penalty_from_grid(kind, gamma)
+    return PenaltySpec.from_gamma(kind, _parse_gamma(args.gamma))
 
 
 def main(argv=None) -> int:

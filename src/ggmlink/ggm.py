@@ -62,6 +62,12 @@ class GaussianModel:
     precision_support: SupportPattern
     zero_tol: float = 0.0
 
+    def __post_init__(self):
+        dims = (self.covariance.dim, self.precision.dim, self.precision_support.dim)
+        if len(set(dims)) > 1:
+            raise ValueError("model dimensions differ: covariance %d, precision %d,"
+                             " support %d" % dims)
+
     @property
     def dim(self) -> int:
         return self.covariance.dim

@@ -30,6 +30,7 @@ must use this convention.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,13 +86,33 @@ class PenaltySpec:
         active = self._FIELDS[self.kind]
         for name in ("omega", "gamma_p", "gamma_n", "eta_p", "eta_n"):
             value = getattr(self, name)
-            if name in active:
-                if value is None:
-                    raise ValueError(f"penalty {self.kind!r} requires {name}")
-                if name != "omega" and not 0.0 < value < np.inf:
+            if name not in active:
+                if value is not None:
+                    raise ValueError(f"penalty {self.kind!r} does not take {name}")
+            elif value is None:
+                raise ValueError(f"penalty {self.kind!r} requires {name}")
+            elif name != "omega":
+                # A boolean is no weight. NaN, inf and integers beyond the
+                # float range fail the comparison.
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ValueError(f"{name} must be a number: {value!r}")
+                if not 0.0 < value <= sys.float_info.max:
                     raise ValueError(f"{name} must be finite and strictly positive")
-            elif value is not None:
-                raise ValueError(f"penalty {self.kind!r} does not take {name}")
+                object.__setattr__(self, name, float(value))
+
+    @classmethod
+    def from_gamma(cls, kind: str, gamma) -> "PenaltySpec":
+        """A weighted kind from its gamma: one weight, or the pair
+        ``(eta_p, eta_n)`` for mixed."""
+        names = cls._FIELDS.get(kind, ())
+        if "omega" in names:
+            raise ValueError(f"penalty {kind!r} takes a support, not a gamma")
+        if len(names) == 2 and not (isinstance(gamma, tuple) and len(gamma) == 2):
+            raise ValueError(f"penalty {kind!r} takes gamma pairs [eta_p, eta_n]")
+        if len(names) == 1 and isinstance(gamma, tuple):
+            raise ValueError(f"penalty {kind!r} takes gamma scalars")
+        weights = gamma if isinstance(gamma, tuple) else (gamma,)
+        return cls(kind=kind, **dict(zip(names, weights)))
 
     @classmethod
     def known_support(cls, omega: SupportPattern) -> "PenaltySpec":
@@ -121,20 +142,6 @@ class SolverConfig:
         # NaN and inf fail the comparison.
         if not 0.0 < self.grad_tol < np.inf:
             raise ValueError("grad_tol must be finite and positive")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SolverConfig":
-        if not isinstance(data, dict):
-            raise ValueError("solver config must be a JSON object")
-        fields = cls.__dataclass_fields__
-        unknown = set(data) - set(fields)
-        if unknown:
-            raise ValueError(f"unknown solver config fields: {sorted(unknown)}")
-        for name, value in data.items():
-            types = int if fields[name].type in (int, "int") else (int, float)
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise ValueError(f"solver.{name} has the wrong type: {value!r}")
-        return cls(**data)
 
 
 @dataclass

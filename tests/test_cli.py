@@ -56,11 +56,7 @@ class TestConfig:
         assert config.solver == SolverConfig()
 
     def test_unknown_field_rejected(self, tmp_path):
-        path = tmp_path / "c.json"
-        write_config(path)
-        raw = json.load(open(path))
-        raw["gama_grid"] = [0.1]
-        json.dump(raw, open(path, "w"))
+        path = write_config(tmp_path / "c.json", gama_grid=[0.1])
         with pytest.raises(ValueError, match="unknown config fields"):
             load_config(path)
 
@@ -77,6 +73,11 @@ class TestConfig:
             json.dump({"N": 100}, fh)
         with pytest.raises(ValueError, match="missing required"):
             load_config(path)
+
+    def test_partial_solver_config_keeps_defaults(self, tmp_path):
+        path = write_config(tmp_path / "c.json", solver={"grad_tol": 1e-9})
+        assert load_config(path).solver == SolverConfig(grad_tol=1e-9,
+                                                        max_iters=50000)
 
     def test_unknown_solver_field_rejected(self, tmp_path):
         path = write_config(tmp_path / "c.json", solver={"grad_toll": 1e-6})
@@ -118,7 +119,7 @@ class TestGenerate:
                      "true_precision.txt", "true_support.txt",
                      "observations.csv", "metadata.json"):
             assert (scen / name).exists()
-        meta = json.load(open(scen / "metadata.json"))
+        meta = json.loads((scen / "metadata.json").read_text())
         assert meta["seed"] == 0 and meta["N"] == 200
 
     def test_scenario_shape(self, tmp_path):
@@ -160,7 +161,7 @@ class TestFit:
                                      out_dir=tmp_path / "fit")
         assert result.converged
         assert prediction is not None
-        report = json.load(open(tmp_path / "fit" / "report.json"))
+        report = json.loads((tmp_path / "fit" / "report.json").read_text())
         assert report["penalty"] == {"kind": "plp", "gamma_p": 0.1}
         assert report["solve"]["converged"] is True
         assert "e_r" in report and report["e_r"] >= 0.0
@@ -206,8 +207,8 @@ class TestSweep:
             root = tmp_path / sub
             cmd_generate(config, out_dir=root)
             out[sub] = cmd_sweep(root, config)
-        csv_a = open(tmp_path / "a" / "sweep_plp.csv", "rb").read()
-        csv_b = open(tmp_path / "b" / "sweep_plp.csv", "rb").read()
+        csv_a = (tmp_path / "a" / "sweep_plp.csv").read_bytes()
+        csv_b = (tmp_path / "b" / "sweep_plp.csv").read_bytes()
         assert csv_a == csv_b
         rows = out["a"]["rows"]
         assert len(rows) == len(config.seeds) * len(config.gamma_grid)
@@ -352,7 +353,7 @@ class TestMainEntry:
                      str(scen / "true_support.txt"),
                      "--out", str(tmp_path / "eval.json")])
         assert code == 0
-        report = json.load(open(tmp_path / "eval.json"))
+        report = json.loads((tmp_path / "eval.json").read_text())
         assert "false_positives" in report
 
     def test_sweep_and_baselines_commands(self, tmp_path):
@@ -402,7 +403,9 @@ class TestMainEntry:
         {"gamma_grid": [float("nan")]},
         {"gamma_grid": [0.1, float("inf")]},
         {"penalty_kind": "mixed", "gamma_grid": [[0.1, float("nan")]]},
-    ], ids=["t_r_nan", "t_r_inf", "gamma_nan", "gamma_inf", "mixed_nan"])
+        {"solver": {"grad_tol": float("nan")}},
+    ], ids=["t_r_nan", "t_r_inf", "gamma_nan", "gamma_inf", "mixed_nan",
+            "grad_tol_nan"])
     def test_non_finite_config_values_exit_one(self, tmp_path, capsys,
                                                overrides):
         cfg_path = write_config(tmp_path / "c.json", **overrides)
@@ -428,22 +431,55 @@ class TestMainEntry:
         {"solver": {"max_iters": "5"}},
         {"solver": {"grad_tol": True}},
         {"solver": 5},
+        {"gamma_grid": [True]},
+        {"penalty_kind": "mixed", "gamma_grid": [[0.1, True]]},
+        {"t_r": True},
     ], ids=["missing_seed", "str_dim", "scenario_int", "seeds_int",
             "seed_str", "n_str", "kind_list", "grid_scalar", "grid_null",
             "grid_str", "output_dir_int", "max_iters_str", "grad_tol_bool",
-            "solver_int"])
+            "solver_int", "grid_bool", "mixed_bool", "t_r_bool"])
     def test_config_type_errors_exit_one(self, tmp_path, capsys, overrides):
-        path = tmp_path / "c.json"
-        write_config(path)
-        raw = json.load(open(path))
-        raw.update(overrides)
-        raw = {k: v for k, v in raw.items() if v is not None}
-        json.dump(raw, open(path, "w"))
+        path = write_config(tmp_path / "c.json", **overrides)
         assert main(["generate", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"penalty_kind": "known", "gamma_grid": [0.1]}, "support"),
+        ({"seeds": [0, 0]}, "seeds must be distinct"),
+        ({"gamma_grid": [0.1, 0.1000001, 0.3]}, "labels must be distinct"),
+        ({"penalty_kind": "mixed", "gamma_grid": [[0.1, 0.2], [0.1000001, 0.2]]},
+         "labels must be distinct"),
+    ], ids=["known_kind", "repeated_seed", "colliding_gammas",
+            "colliding_pairs"])
+    def test_config_conflicts_exit_one(self, tmp_path, capsys, overrides,
+                                       message):
+        # Each would write or merge the wrong fits if it reached a sweep.
+        path = write_config(tmp_path / "c.json", **overrides)
+        assert main(["generate", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert message in err[0]
+        assert not (tmp_path / "o").exists()
+
+    def test_model_files_of_different_dimensions_exit_one(self, tmp_path,
+                                                          capsys):
+        cfg_path = write_config(tmp_path / "c.json")
+        assert main(["generate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 0
+        scen = tmp_path / "out" / "seed_0"
+        symmat.write_support(SupportPattern.diagonal(5),
+                             scen / "prior_support.txt")
+        capsys.readouterr()
+        assert main(["fit", str(scen), "--penalty", "plp",
+                     "--gamma", "0.1"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: model dimensions differ: covariance 6, "
+                       "precision 6, support 5"]
 
     @pytest.mark.parametrize("penalty, gamma", [
         ("plp", "nan"), ("nlp", "nan"), ("plp", "inf"), ("mixed", "0.1,nan"),

@@ -238,7 +238,31 @@ class TestPenaltySpec:
         with pytest.raises(ValueError):
             PenaltySpec(kind="known")
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", ["0.1", True, [0.1]],
+                             ids=["str", "bool", "list"])
+    def test_non_number_weights_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be a number"):
+            PenaltySpec.plp(bad)
+
+    def test_weights_stored_as_float(self):
+        spec = PenaltySpec.mixed(1, 2)
+        assert (spec.eta_p, spec.eta_n) == (1.0, 2.0)
+        assert type(spec.eta_p) is float and type(spec.eta_n) is float
+
+    def test_from_gamma(self):
+        assert PenaltySpec.from_gamma("plp", 0.1) == PenaltySpec.plp(0.1)
+        assert PenaltySpec.from_gamma("nlp", 1) == PenaltySpec.nlp(1.0)
+        assert (PenaltySpec.from_gamma("mixed", (0.1, 0.2))
+                == PenaltySpec.mixed(0.1, 0.2))
+        for kind, gamma, message in [
+                ("mixed", 0.1, "pairs"), ("mixed", (0.1, 0.2, 0.3), "pairs"),
+                ("plp", (0.1, 0.2), "scalars"), ("known", 0.1, "support"),
+                ("bogus", 0.1, "unknown penalty kind")]:
+            with pytest.raises(ValueError, match=message):
+                PenaltySpec.from_gamma(kind, gamma)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 10**400],
+                             ids=["nan", "inf", "-inf", "int_beyond_float"])
     @pytest.mark.parametrize("factory", [
         PenaltySpec.plp, PenaltySpec.nlp,
         lambda w: PenaltySpec.mixed(w, 0.1),
@@ -255,12 +279,6 @@ class TestSolverConfig:
         assert cfg.grad_tol == 1e-7
         assert cfg.max_iters == 50000
 
-    def test_from_dict_defaults_and_rejection(self):
-        cfg = SolverConfig.from_dict({"grad_tol": 1e-9})
-        assert cfg.grad_tol == 1e-9 and cfg.max_iters == 50000
-        with pytest.raises(ValueError):
-            SolverConfig.from_dict({"graad_tol": 1e-9})
-
     def test_range_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(grad_tol=-1.0)
@@ -270,7 +288,7 @@ class TestSolverConfig:
         # A NaN tolerance never passes the residual test: the fit would
         # run to max_iters.
         with pytest.raises(ValueError, match="grad_tol must be finite"):
-            SolverConfig.from_dict({"grad_tol": bad})
+            SolverConfig(grad_tol=bad)
 
 
 class TestSolvePenalized:
@@ -623,6 +641,31 @@ class TestPenaltyCoreProperties:
         spec, prior, omega, s_inv, v, t = case
         penalty = _Penalty(spec, prior, _tril_of(s_inv))
         assert np.all(penalty.prox(_tril_of(v), t)[penalty.fixed] == 0.0)
+
+    @settings(max_examples=100)
+    @given(prox_cases())
+    def test_prox_optimality_conditions(self, case):
+        # y = prox(v) minimizes 0.5 (y - v)^2 / t + W |y + A| entrywise:
+        # v - y = t W sign(y + A) where y + A != 0, else |v + A| <= t W.
+        spec, prior, omega, s_inv, v, t = case
+        out = unpack(_Penalty(spec, prior, _tril_of(s_inv)).prox(_tril_of(v), t))
+        dim = v.shape[0]
+        for i in range(dim):
+            for j in range(i + 1):
+                exp = expected_entry(spec, i == j, bool(prior[i, j]),
+                                     omega[i, j], s_inv[i, j], t)
+                y, x = out[i, j], v[i, j]
+                if exp is None:
+                    assert y == 0.0
+                    continue
+                anchor, thr = exp
+                if thr == 0.0:
+                    assert y == x
+                elif y + anchor != 0.0:
+                    assert (abs((x - y) - thr * np.sign(y + anchor))
+                            <= 1e-12 * (1.0 + abs(x) + abs(anchor)))
+                else:
+                    assert abs(x + anchor) <= thr * (1.0 + 1e-12)
 
     @settings(max_examples=100)
     @given(prox_cases())

@@ -426,7 +426,8 @@ class TestTextFormats:
         path = tmp_path / "m.txt"
         write_matrix(a, path, header="variant: test")
         assert read_matrix(path).to_array().tolist() == [[1.0, 0.0], [0.0, 1.0]]
-        assert open(path).readline().startswith("# variant: test")
+        with open(path) as fh:
+            assert fh.readline().startswith("# variant: test")
 
     def test_matrix_rejects_asymmetric_file(self, tmp_path):
         path = tmp_path / "bad.txt"
