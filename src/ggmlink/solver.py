@@ -19,13 +19,12 @@ choose W (0 where not listed) and F:
 
 The solution covariance is recovered as T_o = (S^-1 + L)^-1.
 
-Convention: the free variables are the packed lower triangle that
-SymmetricMatrix stores, and the solver iterates on packed vectors. An
-off-diagonal variable stands for two full-matrix entries, so tr(T_hat L) and
-the smooth gradient 2 (T_hat - (S^-1+L)^-1)_ij share one weight, 2 off the
-diagonal and 1 on it: the only place off-diagonals double. The penalty, the
-prox threshold t*gamma and step norms count each variable once. KKT checks
-must use this convention.
+Convention: the solver iterates on the free packed entries, the entries off F
+of the lower triangle that SymmetricMatrix stores. An off-diagonal variable
+stands for two full-matrix entries, so tr(T_hat L) and the smooth gradient
+2 (T_hat - (S^-1+L)^-1)_ij share one weight, 2 off the diagonal and 1 on it:
+the only place off-diagonals double. The penalty, the prox threshold t*gamma
+and step norms count each variable once. KKT checks must use this convention.
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ggm import GaussianModel
-from .symmat import (SupportPattern, SymmetricMatrix, _chol_or_none,
-                     _factor_or_raise, _log_det_of_factor, _packed_inverse, _pair_weight,
+from .symmat import (SupportPattern, SymmetricMatrix, _chol_or_none, _factor_or_raise,
+                     _free_layout, _log_det_of_factor, _packed_inverse, _pair_weight,
                      _trace_inner, _tril_of, support_of)
 
 # Line search. The problem has one optimum, so these set how fast a fit
@@ -137,8 +136,11 @@ class SolverConfig:
     grad_tol: float = 1e-7
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int)
+                or self.max_iters < 1):
+            raise ValueError(f"max_iters must be an integer >= 1: {self.max_iters!r}")
+        if isinstance(self.grad_tol, bool) or not isinstance(self.grad_tol, (int, float)):
+            raise ValueError(f"grad_tol must be a number: {self.grad_tol!r}")
         # NaN and inf fail the comparison.
         if not 0.0 < self.grad_tol < np.inf:
             raise ValueError("grad_tol must be finite and positive")
@@ -199,7 +201,7 @@ def primal_from_dual(lam: SymmetricMatrix,
 # Proximal maps
 # ---------------------------------------------------------------------------
 
-def _soft(v: np.ndarray, thr: float) -> np.ndarray:
+def _soft(v: np.ndarray, thr: np.ndarray) -> np.ndarray:
     # sign(v) * max(|v| - thr, 0), with fewer temporaries.
     mag = np.abs(v)
     mag -= thr
@@ -209,43 +211,34 @@ def _soft(v: np.ndarray, thr: float) -> np.ndarray:
 
 
 class _Penalty:
-    """The penalty of one solve (module docstring) on packed triangles: L
-    is held at 0 on ``fixed``, and each term adds weight * sum |L_ij + A_ij|
-    over its mask of off-diagonal entries."""
+    """The penalty of one solve (module docstring) on the entries of the packed
+    mask ``free``: sum weight * |L_ij + anchor|, each 0 where it does not apply."""
 
     def __init__(self, spec: PenaltySpec, prior_mask: np.ndarray,
                  s_inv: np.ndarray):
         dim = prior_mask.shape[0]
         prior = _tril_of(prior_mask)
         offdiag = ~_tril_of(np.eye(dim, dtype=bool))
-        outside, inside = offdiag & ~prior, offdiag & prior
-        self.fixed = np.zeros_like(prior)
+        inside = offdiag & prior
+        self.free = np.ones_like(prior)
         if spec.kind == "known":
             if spec.omega.dim != dim:
                 raise ValueError("constraint support dimension does not match the model")
-            self.fixed = ~_tril_of(spec.omega.mask())
+            self.free = _tril_of(spec.omega.mask())
         elif spec.kind == "nlp":
-            self.fixed = ~prior
+            self.free = prior
         # PenaltySpec sets exactly the weights of its kind; the rest are None.
-        weights = ((outside, spec.gamma_p or spec.eta_p),
-                   (inside, spec.gamma_n or spec.eta_n))
-        anchor = np.where(inside, s_inv, 0.0)
-        self.terms = [(mask, weight, anchor[mask])
-                      for mask, weight in weights if weight is not None]
+        weight = offdiag * np.where(prior, spec.gamma_n or spec.eta_n or 0.0,
+                                    spec.gamma_p or spec.eta_p or 0.0)
+        anchor = np.where(inside & (weight > 0.0), s_inv, 0.0)
+        self.weight, self.anchor = weight[self.free], anchor[self.free]
 
     def prox(self, x: np.ndarray, step: float) -> np.ndarray:
         """argmin_y 0.5 ||y - x||^2 / step + penalty(y), entrywise."""
-        out = x.copy()
-        out[self.fixed] = 0.0
-        for mask, weight, anchor in self.terms:
-            out[mask] = _soft(x[mask] + anchor, step * weight) - anchor
-        return out
+        return _soft(x + self.anchor, step * self.weight) - self.anchor
 
     def value(self, x: np.ndarray) -> float:
-        total = 0.0
-        for mask, weight, anchor in self.terms:
-            total += weight * float(np.sum(np.abs(x[mask] + anchor)))
-        return total
+        return float(np.dot(self.weight, np.abs(x + self.anchor)))
 
 
 def _prox(lam: SymmetricMatrix, step: float, spec: PenaltySpec,
@@ -253,7 +246,9 @@ def _prox(lam: SymmetricMatrix, step: float, spec: PenaltySpec,
     if step <= 0:
         raise ValueError("step must be positive")
     penalty = _Penalty(spec, prior_support.mask(), s_inv.packed())
-    return SymmetricMatrix(lam.dim, penalty.prox(lam.packed(), step))
+    out = np.zeros(lam.packed().size)
+    out[penalty.free] = penalty.prox(lam.packed()[penalty.free], step)
+    return SymmetricMatrix(lam.dim, out)
 
 
 def prox_plp(lam: SymmetricMatrix, step: float, gamma_p: float,
@@ -336,26 +331,30 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
         raise ValueError("sample covariance dimension does not match the model")
     if not np.isfinite(t_hat.packed()).all():
         raise ValueError("t_hat must be finite: the sample covariance holds NaN or inf")
+    if lam0 is not None and lam0.dim != dim:
+        raise ValueError("initial multiplier dimension does not match the model")
     s_inv = model.precision.packed()
-    # One weight for tr(T_hat X) = t_w . x and for the gradient (docstring).
-    weight = _pair_weight(dim)
-    t_w = weight * t_hat.packed()
+    if not np.isfinite(s_inv).all():
+        raise ValueError("the prior precision must be finite")
     pen = _Penalty(penalty, model.precision_support.mask(), s_inv)
-
-    lam = np.zeros(s_inv.size) if lam0 is None else lam0.packed().copy()
+    base, mask = _free_layout(s_inv, pen.free)
+    s_free = s_inv[pen.free]
+    # One weight for tr(T_hat X) = t_w . x and for the gradient (docstring).
+    weight = _pair_weight(dim)[pen.free]
+    t_w = weight * t_hat.packed()[pen.free]
     # Hard-constrained kinds start inside their subspace.
-    lam[pen.fixed] = 0.0
+    lam = np.zeros(s_free.size) if lam0 is None else lam0.packed()[pen.free]
 
     def objective(x, chol_factor):
         # Composite objective at L = x, given the Cholesky factor of S^-1 + x.
         return -_log_det_of_factor(chol_factor) + float(np.dot(t_w, x)) + pen.value(x)
 
     def gradient(chol_factor):
-        # Packed inverse (S^-1 + L)^-1 and the free-variable gradient.
-        inv = _packed_inverse(chol_factor)
+        # Free entries of (S^-1 + L)^-1 and the free-variable gradient.
+        inv = _packed_inverse(chol_factor, mask)
         return inv, t_w - weight * inv
 
-    factor = _chol_or_none(dim, s_inv + lam)
+    factor = _chol_or_none(dim, s_free + lam, base, mask)
     if factor is None:
         raise ValueError("initial multiplier is infeasible")
 
@@ -371,7 +370,7 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
     for iterations in range(1, cfg.max_iters + 1):
         while step >= _STEP_FLOOR:
             cand = pen.prox(lam - step * w, step)
-            cand_factor = _chol_or_none(dim, s_inv + cand)
+            cand_factor = _chol_or_none(dim, s_free + cand, base, mask)
             if cand_factor is not None:
                 delta = cand - lam
                 decrease = _ARMIJO_CONST * float(np.dot(delta, delta)) / step
@@ -397,7 +396,7 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
         else:
             raise RuntimeError(
                 "no feasible descent step found; inputs are pathological")
-        lam, f_total = cand, f_cand
+        lam, f_total, factor = cand, f_cand, cand_factor
         trace.append(f_total)
         probe = step
         step = _bb_step(delta, cand_grad[1] - w)
@@ -425,12 +424,14 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
         elif iterations - best_iteration >= _STALL_ITERS:
             break
 
+    lam_packed = np.zeros(s_inv.size)
+    lam_packed[pen.free] = lam
     # Exact form of the estimated precision: structural zeros survive.
-    k_opt = s_inv + lam
+    k_opt = s_inv + lam_packed
     k_scale = float(np.max(np.abs(k_opt)))
     result = SolveResult(
-        lambda_opt=SymmetricMatrix(dim, lam),
-        t_opt=SymmetricMatrix(dim, inv),
+        lambda_opt=SymmetricMatrix(dim, lam_packed),
+        t_opt=SymmetricMatrix(dim, _packed_inverse(factor)),
         objective_trace=trace,
         iterations=iterations,
         converged=converged,
@@ -440,8 +441,8 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
     if penalty.kind == "known":
         # w is the free gradient at the returned L.
         result.duality_gap = float(np.dot(w, lam))
-        diff = np.where(pen.fixed, 0.0, inv - t_hat.packed())
-        result.constraint_residual = float(np.sqrt(_trace_inner(diff, diff)))
+        diff = inv - t_hat.packed()[pen.free]
+        result.constraint_residual = float(np.sqrt(np.dot(weight * diff, diff)))
     return result
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 
 def _packed_size(dim: int) -> int:
@@ -270,16 +270,25 @@ def cholesky(a: SymmetricMatrix):
     return _chol_or_none(a.dim, a.packed())
 
 
-def _chol_or_none(dim: int, packed: np.ndarray):
+def _chol_or_none(dim: int, packed: np.ndarray, base=None, mask=None):
     # potrf can report success on NaN or inf, which are never PD.
     if not np.isfinite(packed).all():
         return None
     # potrf reads only the lower triangle, so the upper half stays zero; it
     # factors a Fortran-ordered buffer in place, without a copy.
-    full = np.zeros((dim, dim), order="F")
-    full[_lower_mask(dim)] = packed
+    full = np.zeros((dim, dim), order="F") if base is None else base.copy(order="F")
+    full[_lower_mask(dim) if mask is None else mask] = packed
     factor, info = lapack.dpotrf(full, lower=1, clean=1, overwrite_a=1)
     return factor if info == 0 else None
+
+
+def _free_layout(base: np.ndarray, free: np.ndarray):
+    """(base, mask) of _chol_or_none and _packed_inverse for triangles equal to
+    ``base`` off the packed mask ``free``: a full boolean mask keeps packed order."""
+    dim = int(np.sqrt(2 * free.size))  # the size is dim (dim + 1) / 2
+    full, mask = np.zeros((dim, dim), order="F"), np.zeros((dim, dim), dtype=bool)
+    full[_lower_mask(dim)], mask[_lower_mask(dim)] = base, free
+    return full, mask
 
 
 def _factor_or_raise(a: SymmetricMatrix, message: str) -> np.ndarray:
@@ -290,14 +299,34 @@ def _factor_or_raise(a: SymmetricMatrix, message: str) -> np.ndarray:
     return factor
 
 
-def _packed_inverse(factor: np.ndarray) -> np.ndarray:
-    """Packed inverse of L L^T from its lower Cholesky factor L."""
-    # potri fills only the lower triangle, at about a third of the flops of
-    # two triangular solves against the identity.
-    inv, info = lapack.dpotri(factor, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"potri failed with info {info}")
-    return _tril_of(inv)
+_INVERSE_LEAF = 128  # leaves of 50 to 128 time the same at order 400
+
+
+def _invert_lower(block: np.ndarray) -> None:
+    """Invert the lower triangle of ``block`` in place by halves, [[A, 0],
+    [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]: trmm runs at gemm rates,
+    trtri does not (Elmroth, Gustavson, Jonsson & Kagstrom, SIAM Rev. 2004)."""
+    if len(block) <= _INVERSE_LEAF:
+        inv, info = lapack.dtrtri(block, lower=1, overwrite_c=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"trtri failed with info {info}")
+        block[...] = inv  # a strided view is inverted in a copy
+        return
+    k = len(block) // 2
+    _invert_lower(block[:k, :k])
+    _invert_lower(block[k:, k:])
+    b = blas.dtrmm(1.0, block[:k, :k], block[k:, :k], side=1, lower=1)
+    block[k:, :k] = blas.dtrmm(-1.0, block[k:, k:], b, lower=1, overwrite_b=1)
+
+
+def _packed_inverse(factor: np.ndarray, mask=None) -> np.ndarray:
+    """Packed inverse of L L^T from its lower Cholesky factor L, or its free
+    entries given the ``mask`` of _free_layout."""
+    inv = np.array(factor, order="F")
+    _invert_lower(inv)
+    # As in potri, lauum forms L^-T L^-1; it fails only on invalid arguments.
+    inv, _ = lapack.dlauum(inv, lower=1, overwrite_c=1)
+    return inv[_lower_mask(len(inv)) if mask is None else mask]
 
 
 def _log_det_of_factor(factor: np.ndarray) -> float:

@@ -23,13 +23,14 @@ from ggmlink import (
     prox_nlp,
     prox_plp,
     random_feasible_start,
+    random_model,
     sample_covariance,
     solve,
     solve_known_support,
     support_of,
 )
 from ggmlink.solver import (_BB_STEP_MAX, _BB_STEP_MIN, _STEP_INIT, _Penalty,
-                            _bb_step)
+                            _bb_step, _prox)
 from ggmlink.symmat import _tril_of
 from conftest import make_instance, random_pd, random_symmetric
 
@@ -283,6 +284,18 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(grad_tol=-1.0)
 
+    @pytest.mark.parametrize("bad", [2.5, True, "10", None],
+                             ids=["float", "bool", "str", "none"])
+    def test_non_integer_max_iters_rejected(self, bad):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            SolverConfig(max_iters=bad)
+
+    @pytest.mark.parametrize("bad", [True, "1e-7", None],
+                             ids=["bool", "str", "none"])
+    def test_non_number_grad_tol_rejected(self, bad):
+        with pytest.raises(ValueError, match="grad_tol must be a number"):
+            SolverConfig(grad_tol=bad)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_grad_tol_rejected(self, bad):
         # A NaN tolerance never passes the residual test: the fit would
@@ -305,6 +318,21 @@ class TestSolvePenalized:
         res = solve(prior, prior.covariance, PenaltySpec.nlp(1e-9))
         assert frobenius_norm(res.lambda_opt) < 1e-6
         assert frobenius_norm(res.t_opt - prior.covariance) < 1e-6
+
+    @pytest.mark.parametrize("kind", ["nlp", "known"])
+    def test_fixed_entries_of_lambda_exactly_zero(self, kind):
+        # The solver iterates on the free entries only; a start that is
+        # nonzero on the fixed ones must not leak into the result.
+        prior, truth, t_hat = make_instance(43, dim=6, density=0.3, n_obs=300)
+        omega = SupportPattern(6, [(i, i) for i in range(1, 7)] + [(4, 2), (6, 1)])
+        penalty = (PenaltySpec.nlp(0.2) if kind == "nlp"
+                   else PenaltySpec.known_support(omega))
+        free = prior.precision_support if kind == "nlp" else omega
+        lam0 = random_feasible_start(prior.precision, 3)
+        res = solve(prior, t_hat, penalty, lam0=lam0)
+        assert res.converged
+        assert np.all(res.lambda_opt.to_array()[~free.mask()] == 0.0)
+        assert np.any(res.lambda_opt.to_array()[free.mask()] != 0.0)
 
     def test_nlp_hard_zeros_bitwise(self):
         prior, truth, t_hat = make_instance(32, dim=8, density=0.3, n_add=0,
@@ -372,6 +400,12 @@ class TestSolvePenalized:
         prior, _, _ = make_instance(37, dim=5)
         with pytest.raises(ValueError):
             solve(prior, SymmetricMatrix.identity(4), PenaltySpec.plp(0.1))
+
+    def test_start_of_another_dimension_rejected(self):
+        prior = random_model(5, 0.4, 1)
+        t_hat = prior.covariance
+        with pytest.raises(ValueError, match="initial multiplier dimension"):
+            solve(prior, t_hat, PenaltySpec.plp(0.1), lam0=SymmetricMatrix.zeros(4))
 
     def test_infeasible_start_rejected(self):
         prior, truth, t_hat = make_instance(38, dim=5)
@@ -450,6 +484,20 @@ class TestSolvePenalized:
         packed[1] = bad
         with pytest.raises(ValueError, match="t_hat must be finite"):
             solve(prior, SymmetricMatrix(5, packed), PenaltySpec.plp(0.1))
+
+    @pytest.mark.parametrize("kind", ["plp", "nlp"])
+    def test_non_finite_prior_precision_rejected(self, kind):
+        # load_model does not factor the stored precision. For nlp the bad
+        # entry is one the solver holds fixed, never a variable.
+        prior, truth, t_hat = make_instance(46, dim=5)
+        outside = next(i for i, fixed in enumerate(
+            ~_tril_of(prior.precision_support.mask())) if fixed)
+        packed = prior.precision.packed().copy()
+        packed[outside] = np.nan
+        bad = GaussianModel(prior.covariance, SymmetricMatrix(5, packed),
+                            prior.precision_support)
+        with pytest.raises(ValueError, match="prior precision must be finite"):
+            solve(bad, t_hat, PenaltySpec.from_gamma(kind, 0.1))
 
 
 class TestSolveKnownSupport:
@@ -600,6 +648,15 @@ def unpack(packed):
     return SymmetricMatrix(dim, packed).to_array()
 
 
+def penalty_prox(spec, prior, s_inv, v, t):
+    """Full symmetric array of the solver's prox of ``v``: _Penalty maps the
+    free entries, and the fixed entries are 0."""
+    penalty = _Penalty(spec, prior, _tril_of(s_inv))
+    out = np.zeros(penalty.free.size)
+    out[penalty.free] = penalty.prox(_tril_of(v)[penalty.free], t)
+    return unpack(out)
+
+
 def expected_entry(spec, diagonal, inside, in_omega, s, t):
     """What the prox of ``spec`` does to one entry, per the problem
     statement: None if the entry is fixed at 0, else (anchor, threshold);
@@ -620,7 +677,7 @@ class TestPenaltyCoreProperties:
     @given(prox_cases())
     def test_prox_matches_scalar_oracle(self, case):
         spec, prior, omega, s_inv, v, t = case
-        out = unpack(_Penalty(spec, prior, _tril_of(s_inv)).prox(_tril_of(v), t))
+        out = penalty_prox(spec, prior, s_inv, v, t)
         dim = v.shape[0]
         for i in range(dim):
             for j in range(i + 1):
@@ -638,9 +695,22 @@ class TestPenaltyCoreProperties:
     @settings(max_examples=100)
     @given(prox_cases())
     def test_fixed_entries_exactly_zero(self, case):
+        # The public maps return _Penalty's prox on the free entries and
+        # exactly 0 on the fixed ones; `known` has only the private one.
         spec, prior, omega, s_inv, v, t = case
         penalty = _Penalty(spec, prior, _tril_of(s_inv))
-        assert np.all(penalty.prox(_tril_of(v), t)[penalty.fixed] == 0.0)
+        lam = SymmetricMatrix.from_array(v, tol=0.0)
+        s = SymmetricMatrix.from_array(s_inv, tol=0.0)
+        pattern = SupportPattern.from_mask(prior)
+        public = {
+            "known": lambda: _prox(lam, t, spec, s, pattern),
+            "plp": lambda: prox_plp(lam, t, spec.gamma_p, pattern),
+            "nlp": lambda: prox_nlp(lam, t, spec.gamma_n, s, pattern),
+            "mixed": lambda: prox_mixed(lam, t, spec.eta_p, spec.eta_n, s, pattern),
+        }[spec.kind]().packed()
+        assert np.all(public[~penalty.free] == 0.0)
+        np.testing.assert_array_equal(
+            public[penalty.free], penalty.prox(lam.packed()[penalty.free], t))
 
     @settings(max_examples=100)
     @given(prox_cases())
@@ -648,7 +718,7 @@ class TestPenaltyCoreProperties:
         # y = prox(v) minimizes 0.5 (y - v)^2 / t + W |y + A| entrywise:
         # v - y = t W sign(y + A) where y + A != 0, else |v + A| <= t W.
         spec, prior, omega, s_inv, v, t = case
-        out = unpack(_Penalty(spec, prior, _tril_of(s_inv)).prox(_tril_of(v), t))
+        out = penalty_prox(spec, prior, s_inv, v, t)
         dim = v.shape[0]
         for i in range(dim):
             for j in range(i + 1):
@@ -674,7 +744,7 @@ class TestPenaltyCoreProperties:
         if spec.kind not in ("nlp", "mixed"):
             return
         weight = spec.gamma_n or spec.eta_n
-        out = unpack(_Penalty(spec, prior, _tril_of(s_inv)).prox(_tril_of(v), t))
+        out = penalty_prox(spec, prior, s_inv, v, t)
         killed = (prior & ~np.eye(v.shape[0], dtype=bool)
                   & (np.abs(v + s_inv) <= t * weight))
         assert np.all((s_inv + out)[killed] == 0.0)

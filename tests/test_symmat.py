@@ -19,7 +19,7 @@ from ggmlink import (
     write_matrix,
     write_support,
 )
-from ggmlink.symmat import _chol_or_none, _packed_inverse, _trace_inner
+from ggmlink.symmat import _INVERSE_LEAF, _chol_or_none, _packed_inverse, _trace_inner
 from conftest import random_pd, random_symmetric
 
 
@@ -344,6 +344,22 @@ def pd_matrices(draw):
     return SymmetricMatrix.from_array(arr, tol=0.0)
 
 
+def assert_inverse_matches_the_mirrored_inverse(a):
+    # The split inverse and two triangular solves round differently:
+    # compare with the mirrored cho_solve inverse within a tolerance, and
+    # bound the residual A X - I at the scale a backward-stable inverse meets.
+    factor = cholesky(a)
+    inv = scipy.linalg.cho_solve((factor, True), np.eye(a.dim))
+    mirrored = np.tril(inv) + np.tril(inv, -1).T
+    expected = mirrored[np.tril_indices(a.dim)]
+    packed = _packed_inverse(factor)
+    assert np.max(np.abs(packed - expected)) <= 1e-14 * np.max(np.abs(expected))
+    full, x = a.to_array(), SymmetricMatrix(a.dim, packed).to_array()
+    bound = (4 * a.dim * np.finfo(float).eps
+             * np.linalg.norm(full, 1) * np.linalg.norm(x, 1))
+    assert np.max(np.abs(full @ x - np.eye(a.dim))) <= bound
+
+
 class TestPackedKernels:
     @settings(max_examples=100)
     @given(packed_pairs())
@@ -355,19 +371,24 @@ class TestPackedKernels:
     @settings(max_examples=100)
     @given(pd_matrices())
     def test_packed_inverse_matches_the_mirrored_inverse(self, a):
-        # potri and two triangular solves round differently: compare with
-        # the mirrored cho_solve inverse within a tolerance, and bound the
-        # residual A X - I at the scale a backward-stable inverse meets.
-        factor = cholesky(a)
-        inv = scipy.linalg.cho_solve((factor, True), np.eye(a.dim))
-        mirrored = np.tril(inv) + np.tril(inv, -1).T
-        expected = mirrored[np.tril_indices(a.dim)]
-        packed = _packed_inverse(factor)
-        assert np.max(np.abs(packed - expected)) <= 1e-14 * np.max(np.abs(expected))
-        full, x = a.to_array(), SymmetricMatrix(a.dim, packed).to_array()
-        bound = (4 * a.dim * np.finfo(float).eps
-                 * np.linalg.norm(full, 1) * np.linalg.norm(x, 1))
-        assert np.max(np.abs(full @ x - np.eye(a.dim))) <= bound
+        assert_inverse_matches_the_mirrored_inverse(a)
+
+    @pytest.mark.parametrize("dim", [1, _INVERSE_LEAF, _INVERSE_LEAF + 1,
+                                     2 * _INVERSE_LEAF + 1, 400])
+    def test_packed_inverse_across_the_recursion_cut(self, dim):
+        # pd_matrices() stays below the leaf. Orders 1 and the leaf invert
+        # as one leaf, leaf + 1 splits once into uneven halves, and
+        # 2 leaf + 1 and 400 split twice.
+        assert_inverse_matches_the_mirrored_inverse(
+            random_pd(dim, np.random.default_rng(dim), scale=0.1))
+
+    @pytest.mark.parametrize("dim", [3, 2 * _INVERSE_LEAF + 1])
+    def test_packed_inverse_raises_on_a_zero_diagonal(self, dim):
+        factor = np.asfortranarray(np.tril(np.random.default_rng(dim).uniform(
+            0.5, 1.0, (dim, dim))))
+        factor[dim - 2, dim - 2] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            _packed_inverse(factor)
 
     @settings(max_examples=100)
     @given(pd_matrices(), st.data())
