@@ -15,7 +15,6 @@ from .symmat import (
     frobenius_norm,
     inverse,
     log_det,
-    project_support,
     read_matrix,
     read_support,
     support_of,
@@ -28,7 +27,6 @@ from .ggm import (
     ScenarioSpec,
     draw_samples,
     kl_divergence,
-    negative_log_likelihood,
     perturb_model,
     random_model,
     relative_error,

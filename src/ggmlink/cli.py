@@ -172,7 +172,6 @@ def generate_scenario(scenario: ScenarioSpec, n: int, directory) -> None:
         "seed": scenario.seed,
         "derived_seeds": seeds,
         "N": n,
-        "zero_tol": 0.0,
         "generator": ggm.RNG_NAME,
     }, os.path.join(directory, "metadata.json"))
 

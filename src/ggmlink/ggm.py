@@ -1,18 +1,19 @@
 """Gaussian graphical model domain logic.
 
 Zero-mean Gaussian models whose conditional-independence graph is the
-support of the precision matrix: likelihood, KL divergence, sampling, and
-synthetic before/after scenarios for link-change experiments.
+support of the precision matrix: KL divergence, sampling, synthetic
+before/after scenarios for link-change experiments, and their files.
 
-Models are built precision-first so that structural zeros of the precision
-matrix are exact (bitwise), which the solvers rely on.
+A model is its precision. The covariance and the support are derived from
+it, so structural zeros of the precision are exact (bitwise), which the
+solvers rely on.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,47 +56,34 @@ RNG_NAME = "numpy-pcg64"
 
 @dataclass(frozen=True)
 class GaussianModel:
-    """Zero-mean Gaussian with PD covariance and known precision support."""
+    """Zero-mean Gaussian given by its PD precision matrix.
 
-    covariance: SymmetricMatrix
+    The covariance (the inverse) and the precision support (the exact
+    nonzeros, the conditional-independence graph) are derived here from
+    one Cholesky factor, so no model pairs a precision with a covariance
+    or a support that disagrees with it.
+    """
+
     precision: SymmetricMatrix
-    precision_support: SupportPattern
-    zero_tol: float = 0.0
+    covariance: SymmetricMatrix = field(init=False)
+    precision_support: SupportPattern = field(init=False)
 
     def __post_init__(self):
-        dims = (self.covariance.dim, self.precision.dim, self.precision_support.dim)
-        if len(set(dims)) > 1:
-            raise ValueError("model dimensions differ: covariance %d, precision %d,"
-                             " support %d" % dims)
+        factor = _factor_or_raise(self.precision,
+                                  "precision matrix is not positive definite")
+        object.__setattr__(self, "covariance", SymmetricMatrix(
+            self.precision.dim, _packed_inverse(factor)))
+        object.__setattr__(self, "precision_support",
+                           support_of(self.precision, 0.0))
 
     @property
     def dim(self) -> int:
-        return self.covariance.dim
+        return self.precision.dim
 
     @classmethod
     def from_precision(cls, precision: SymmetricMatrix) -> "GaussianModel":
-        """Build from an explicit PD precision matrix; support is exact."""
-        factor = _factor_or_raise(precision, "precision matrix is not positive definite")
-        return cls(
-            covariance=SymmetricMatrix(precision.dim, _packed_inverse(factor)),
-            precision=precision,
-            precision_support=support_of(precision, 0.0),
-            zero_tol=0.0,
-        )
-
-    @classmethod
-    def from_covariance(cls, covariance: SymmetricMatrix,
-                        zero_tol: float = 1e-10) -> "GaussianModel":
-        """Build from a PD covariance; the precision support is extracted
-        at ``zero_tol`` (numerical inversion has no exact zeros)."""
-        factor = _factor_or_raise(covariance, "covariance matrix is not positive definite")
-        precision = SymmetricMatrix(covariance.dim, _packed_inverse(factor))
-        return cls(
-            covariance=covariance,
-            precision=precision,
-            precision_support=support_of(precision, zero_tol),
-            zero_tol=zero_tol,
-        )
+        """The same as ``GaussianModel(precision)``."""
+        return cls(precision)
 
 
 @dataclass(frozen=True)
@@ -145,7 +133,7 @@ class ScenarioSpec:
 
 
 # ---------------------------------------------------------------------------
-# Likelihood and divergence
+# Moments, divergence and error
 # ---------------------------------------------------------------------------
 
 def sample_covariance(obs: ObservationSet) -> SymmetricMatrix:
@@ -173,19 +161,6 @@ def kl_divergence(cov_t: SymmetricMatrix, cov_s: SymmetricMatrix) -> float:
     logdet_t = _log_det_of_factor(_factor_or_raise(cov_t, message))
     trace_term = _trace_inner(_packed_inverse(s_chol), cov_t.packed())
     return 0.5 * (-(logdet_t - logdet_s) + trace_term - m)
-
-
-def negative_log_likelihood(sigma: SymmetricMatrix,
-                            sigma_hat: SymmetricMatrix) -> float:
-    """Per-sample negative log-likelihood of N(0, sigma) given the sample
-    second moment ``sigma_hat``: log det(sigma) + tr(sigma_hat sigma^-1),
-    additive constants dropped."""
-    if sigma.dim != sigma_hat.dim:
-        raise ValueError("dimension mismatch")
-    factor = _factor_or_raise(
-        sigma, "negative_log_likelihood requires a positive definite sigma")
-    return (_log_det_of_factor(factor)
-            + _trace_inner(sigma_hat.packed(), _packed_inverse(factor)))
 
 
 def relative_error(cov_true: SymmetricMatrix,
@@ -297,10 +272,12 @@ def perturb_model(base: GaussianModel, spec: ScenarioSpec) -> GaussianModel:
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-# A model occupies three files under a prefix: <prefix>_covariance.txt,
-# <prefix>_precision.txt, <prefix>_support.txt. Observations are a plain
-# numeric CSV, one sample per row. Metadata (a free-form dict) goes to JSON
-# with sorted keys so reruns are byte-identical.
+# A model occupies three files under a prefix: <prefix>_precision.txt, which
+# defines it, and <prefix>_covariance.txt and <prefix>_support.txt, which
+# are derived from it. The covariance file is written but not read; the
+# support file is checked against the precision on load. Observations are a
+# plain numeric CSV, one sample per row. Metadata (a free-form dict) goes to
+# JSON with sorted keys so reruns are byte-identical.
 
 def save_model(model: GaussianModel, directory, prefix: str) -> None:
     os.makedirs(directory, exist_ok=True)
@@ -311,18 +288,26 @@ def save_model(model: GaussianModel, directory, prefix: str) -> None:
 
 
 def load_model(directory, prefix: str) -> GaussianModel:
-    covariance = read_matrix(os.path.join(directory, f"{prefix}_covariance.txt"))
-    precision = read_matrix(os.path.join(directory, f"{prefix}_precision.txt"))
-    support = read_support(os.path.join(directory, f"{prefix}_support.txt"))
-    _factor_or_raise(covariance, f"{prefix}: stored covariance is not positive definite")
-    return GaussianModel(covariance=covariance, precision=precision,
-                         precision_support=support, zero_tol=0.0)
+    """The model of ``<prefix>_precision.txt``. Raises ValueError if the
+    precision is not PD or ``<prefix>_support.txt`` is not its support."""
+    precision_path = os.path.join(directory, f"{prefix}_precision.txt")
+    precision = read_matrix(precision_path)
+    try:
+        model = GaussianModel(precision)
+    except ValueError:
+        raise ValueError(f"{precision_path}: {prefix} precision is not positive"
+                         " definite") from None
+    support_path = os.path.join(directory, f"{prefix}_support.txt")
+    if read_support(support_path) != model.precision_support:
+        raise ValueError(f"{support_path}: support differs from the nonzeros"
+                         f" of {prefix}_precision.txt")
+    return model
 
 
 def save_observations(obs: ObservationSet, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for row in obs.samples:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in obs.samples.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def load_observations(path, seed: int | None = None) -> ObservationSet:

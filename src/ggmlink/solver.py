@@ -334,8 +334,6 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
     if lam0 is not None and lam0.dim != dim:
         raise ValueError("initial multiplier dimension does not match the model")
     s_inv = model.precision.packed()
-    if not np.isfinite(s_inv).all():
-        raise ValueError("the prior precision must be finite")
     pen = _Penalty(penalty, model.precision_support.mask(), s_inv)
     base, mask = _free_layout(s_inv, pen.free)
     s_free = s_inv[pen.free]

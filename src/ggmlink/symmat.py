@@ -254,13 +254,6 @@ class SupportPattern:
 # Operations
 # ---------------------------------------------------------------------------
 
-def project_support(a: SymmetricMatrix, omega: SupportPattern) -> SymmetricMatrix:
-    """Zero every entry of ``a`` outside ``omega`` (symmetrically)."""
-    if a.dim != omega.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {omega.dim}")
-    return SymmetricMatrix(a.dim, np.where(_tril_of(omega._mask), a.packed(), 0.0))
-
-
 def cholesky(a: SymmetricMatrix):
     """Lower-triangular L with L L^T = a, or None if a is not positive definite.
 

@@ -297,6 +297,76 @@ class TestSweep:
         assert row["e_r"] == report["e_r"]
 
 
+def desk_scenario(tmp_path):
+    """Config path and seed-0 directory of the desk plp scenario (dim 10,
+    density 0.25, three edges added), generated under ``tmp_path``."""
+    cfg_path = write_config(
+        tmp_path / "c.json", seeds=[0], N=1000, output_dir=str(tmp_path / "out"),
+        scenario={"dim": 10, "edge_density": 0.25, "n_add": 3, "n_remove": 0,
+                  "seed": 0})
+    assert main(["generate", "--config", str(cfg_path)]) == 0
+    return cfg_path, tmp_path / "out" / "seed_0"
+
+
+def drop_edge(path, edge):
+    """Rewrite the support file at ``path`` without ``edge``."""
+    support = symmat.read_support(path)
+    assert edge in support
+    symmat.write_support(SupportPattern(support.dim, set(support.pairs()) - {edge}),
+                         path)
+
+
+class TestModelFiles:
+    """A model is read from its precision file; a precision that is not
+    PD, or a support file that is not its support, fails with one line."""
+
+    def test_non_pd_prior_precision_exits_one(self, tmp_path, capsys):
+        _, scen = desk_scenario(tmp_path)
+        precision = symmat.read_matrix(scen / "prior_precision.txt")
+        packed = precision.packed().copy()
+        packed[0] = -packed[0]
+        symmat.write_matrix(symmat.SymmetricMatrix(precision.dim, packed),
+                            scen / "prior_precision.txt")
+        capsys.readouterr()
+        assert main(["fit", str(scen), "--penalty", "plp",
+                     "--gamma", "0.1"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "prior" in err[0] and "not positive definite" in err[0]
+        assert not list(scen.glob("fit_*"))
+
+    def test_fit_rejects_edited_prior_support(self, tmp_path, capsys):
+        _, scen = desk_scenario(tmp_path)
+        drop_edge(scen / "prior_support.txt", (2, 1))
+        capsys.readouterr()
+        assert main(["fit", str(scen), "--penalty", "plp",
+                     "--gamma", "0.1"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {scen / 'prior_support.txt'}: support differs"
+                       " from the nonzeros of prior_precision.txt"]
+
+    def test_sweep_rejects_edited_prior_support_before_fitting(self, tmp_path,
+                                                               capsys):
+        cfg_path, scen = desk_scenario(tmp_path)
+        drop_edge(scen / "prior_support.txt", (2, 1))
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert str(scen / "prior_support.txt") in err[0]
+        assert not list(scen.glob("fit_*"))
+
+    def test_fit_known_rejects_edited_true_support(self, tmp_path, capsys):
+        _, scen = desk_scenario(tmp_path)
+        truth = symmat.read_support(scen / "true_support.txt")
+        drop_edge(scen / "true_support.txt", truth.off_diagonal()[0])
+        capsys.readouterr()
+        assert main(["fit", str(scen), "--penalty", "known"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {scen / 'true_support.txt'}: support differs"
+                       " from the nonzeros of true_precision.txt"]
+
+
 class TestBaselines:
     def test_k_defaults_from_truth(self, scenario_dir, tmp_path):
         reports = cmd_baselines(scenario_dir, out_dir=tmp_path / "base")
@@ -478,8 +548,8 @@ class TestMainEntry:
         assert main(["fit", str(scen), "--penalty", "plp",
                      "--gamma", "0.1"]) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: model dimensions differ: covariance 6, "
-                       "precision 6, support 5"]
+        assert err == [f"error: {scen / 'prior_support.txt'}: support differs"
+                       " from the nonzeros of prior_precision.txt"]
 
     @pytest.mark.parametrize("penalty, gamma", [
         ("plp", "nan"), ("nlp", "nan"), ("plp", "inf"), ("mixed", "0.1,nan"),

@@ -11,16 +11,17 @@ from ggmlink import (
     SymmetricMatrix,
     cholesky,
     draw_samples,
-    inverse,
     kl_divergence,
-    negative_log_likelihood,
     perturb_model,
     random_model,
     relative_error,
     sample_covariance,
     support_of,
+    write_matrix,
+    write_support,
 )
 from ggmlink import ggm
+from ggmlink.symmat import _tril_of
 from conftest import random_pd
 
 
@@ -102,35 +103,6 @@ class TestKLDivergence:
         with pytest.raises(ValueError):
             kl_divergence(SymmetricMatrix.from_array([[1.0, 2.0], [2.0, 1.0]]),
                           SymmetricMatrix.identity(2))
-
-
-class TestNegativeLogLikelihood:
-    def test_identity_pair(self):
-        eye = SymmetricMatrix.identity(4)
-        assert abs(negative_log_likelihood(eye, eye) - 4.0) < 1e-14
-
-    def test_trace_term_only(self):
-        val = negative_log_likelihood(SymmetricMatrix.identity(2),
-                                      SymmetricMatrix.diagonal([2.0, 3.0]))
-        assert abs(val - 5.0) < 1e-14
-
-    def test_minimized_at_sample_covariance(self, rng):
-        # Perturbation oracle: every PD perturbation of sigma_hat scores worse.
-        sigma_hat = random_pd(4, rng)
-        base = negative_log_likelihood(sigma_hat, sigma_hat)
-        for _ in range(20):
-            d = np.tril(rng.standard_normal((4, 4))) * 0.1
-            pert = SymmetricMatrix.from_array(
-                sigma_hat.to_array() + d + np.tril(d, -1).T, tol=1e-9)
-            if cholesky(pert) is None:
-                continue
-            assert negative_log_likelihood(pert, sigma_hat) > base
-
-    def test_non_pd_sigma_named_in_error(self):
-        with pytest.raises(ValueError,
-                           match="negative_log_likelihood requires a positive definite sigma"):
-            negative_log_likelihood(SymmetricMatrix.from_array([[1.0, 2.0], [2.0, 1.0]]),
-                                    SymmetricMatrix.identity(2))
 
 
 class TestDrawSamples:
@@ -279,6 +251,45 @@ class TestSerialization:
         loaded = ggm.load_model(tmp_path, "m")
         assert support_of(loaded.precision, 0.0) == model.precision_support
 
+    def test_covariance_file_is_not_read(self, tmp_path):
+        model = random_model(6, 0.3, seed=14)
+        ggm.save_model(model, tmp_path, "m")
+        (tmp_path / "m_covariance.txt").write_text("not a matrix\n")
+        loaded = ggm.load_model(tmp_path, "m")
+        np.testing.assert_array_equal(loaded.covariance.packed(),
+                                      model.covariance.packed())
+
+    def test_non_pd_precision_rejected(self, tmp_path):
+        model = random_model(6, 0.3, seed=15)
+        ggm.save_model(model, tmp_path, "prior")
+        packed = model.precision.packed().copy()
+        packed[0] = -1.0
+        write_matrix(SymmetricMatrix(6, packed), tmp_path / "prior_precision.txt")
+        with pytest.raises(ValueError, match="prior_precision.txt: prior precision"
+                                             " is not positive definite"):
+            ggm.load_model(tmp_path, "prior")
+
+    @pytest.mark.parametrize("edit", ["drop", "add"])
+    def test_support_file_must_match_precision(self, tmp_path, edit):
+        model = random_model(6, 0.3, seed=16)
+        ggm.save_model(model, tmp_path, "prior")
+        edge = model.precision_support.off_diagonal()[0]
+        other = model.precision_support.complement().off_diagonal()[0]
+        pairs = set(model.precision_support.pairs())
+        pairs = pairs - {edge} if edit == "drop" else pairs | {other}
+        write_support(SupportPattern(6, pairs), tmp_path / "prior_support.txt")
+        with pytest.raises(ValueError, match="prior_support.txt: support differs"):
+            ggm.load_model(tmp_path, "prior")
+
+    def test_observations_written_as_element_reprs(self, tmp_path, rng):
+        # The per-element loop the writer replaced is the byte reference.
+        obs = draw_samples(random_pd(5, rng), 40, seed=17)
+        path = tmp_path / "obs.csv"
+        ggm.save_observations(obs, path)
+        want = "".join(",".join(repr(float(v)) for v in row) + "\n"
+                       for row in obs.samples)
+        assert path.read_text() == want
+
     def test_observations_round_trip(self, tmp_path, rng):
         cov = random_pd(4, rng)
         obs = draw_samples(cov, 17, seed=13)
@@ -288,7 +299,7 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.samples, obs.samples)
 
     def test_metadata_round_trip(self, tmp_path):
-        meta = {"dim": 5, "seed": 3, "zero_tol": 0.0, "label": "x"}
+        meta = {"dim": 5, "seed": 3, "edge_density": 0.25, "label": "x"}
         path = tmp_path / "meta.json"
         ggm.save_metadata(meta, path)
         assert ggm.load_metadata(path) == meta
@@ -302,15 +313,24 @@ class TestGaussianModel:
         res = model.covariance.to_array() @ arr - np.eye(3)
         assert np.linalg.norm(res) < 1e-12
 
-    def test_from_covariance(self, rng):
-        cov = random_pd(4, rng)
-        model = GaussianModel.from_covariance(cov)
-        np.testing.assert_allclose(model.precision.to_array(),
-                                   inverse(cov).to_array())
-
     def test_rejects_non_pd(self):
         bad = SymmetricMatrix.from_array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(ValueError):
             GaussianModel.from_precision(bad)
-        with pytest.raises(ValueError):
-            GaussianModel.from_covariance(bad)
+
+    def test_non_finite_precision_rejected(self):
+        # A NaN off the support would leave the support as it was; the
+        # Cholesky factor that derives the covariance still rejects it.
+        model = random_model(5, 0.2, seed=18)
+        outside = next(i for i, absent in enumerate(
+            ~_tril_of(model.precision_support.mask())) if absent)
+        packed = model.precision.packed().copy()
+        packed[outside] = np.nan
+        with pytest.raises(ValueError, match="not positive definite"):
+            GaussianModel(SymmetricMatrix(5, packed))
+
+    def test_covariance_and_support_are_derived(self):
+        eye = SymmetricMatrix.identity(2)
+        with pytest.raises(TypeError):
+            GaussianModel(precision=eye, covariance=eye,
+                          precision_support=SupportPattern.diagonal(2))

@@ -487,17 +487,16 @@ class TestSolvePenalized:
 
     @pytest.mark.parametrize("kind", ["plp", "nlp"])
     def test_non_finite_prior_precision_rejected(self, kind):
-        # load_model does not factor the stored precision. For nlp the bad
-        # entry is one the solver holds fixed, never a variable.
+        # For nlp the bad entry is one the solver would hold fixed, never a
+        # variable. No prior with it can be built, so solve never sees it.
         prior, truth, t_hat = make_instance(46, dim=5)
         outside = next(i for i, fixed in enumerate(
             ~_tril_of(prior.precision_support.mask())) if fixed)
         packed = prior.precision.packed().copy()
         packed[outside] = np.nan
-        bad = GaussianModel(prior.covariance, SymmetricMatrix(5, packed),
-                            prior.precision_support)
-        with pytest.raises(ValueError, match="prior precision must be finite"):
-            solve(bad, t_hat, PenaltySpec.from_gamma(kind, 0.1))
+        with pytest.raises(ValueError, match="not positive definite"):
+            solve(GaussianModel(SymmetricMatrix(5, packed)), t_hat,
+                  PenaltySpec.from_gamma(kind, 0.1))
 
 
 class TestSolveKnownSupport:

@@ -12,7 +12,6 @@ from ggmlink import (
     frobenius_norm,
     inverse,
     log_det,
-    project_support,
     read_matrix,
     read_support,
     support_of,
@@ -204,52 +203,6 @@ class TestSupportPatternAgainstSetOracle:
             want = [(i, j) for i in range(1, dim + 1) for j in range(1, i + 1)
                     if abs(full[i - 1, j - 1]) > tol]
             assert support_of(a, tol).pairs() == want
-
-
-class TestProjectSupport:
-    def test_full_support_is_identity(self, rng):
-        a = random_symmetric(4, rng)
-        out = project_support(a, SupportPattern.full(4))
-        np.testing.assert_array_equal(out.to_array(), a.to_array())
-
-    def test_empty_support_is_zero(self, rng):
-        a = random_symmetric(4, rng)
-        out = project_support(a, SupportPattern.empty(4))
-        assert frobenius_norm(out) == 0.0
-
-    def test_single_pair(self):
-        a = SymmetricMatrix.from_array([[1.0, 2.0], [2.0, 3.0]])
-        out = project_support(a, SupportPattern(2, [(1, 1)]))
-        np.testing.assert_array_equal(out.to_array(), [[1.0, 0.0], [0.0, 0.0]])
-
-    def test_dimension_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            project_support(random_symmetric(3, rng), SupportPattern.full(4))
-
-    def test_idempotent_and_self_adjoint(self, rng):
-        # Idempotence and tr(P(A) B) == tr(A P(B)) on random pairs.
-        for _ in range(20):
-            dim = int(rng.integers(2, 7))
-            pairs = [(i, j) for i in range(1, dim + 1) for j in range(1, i + 1)
-                     if rng.uniform() < 0.4]
-            omega = SupportPattern(dim, pairs)
-            a = random_symmetric(dim, rng)
-            b = random_symmetric(dim, rng)
-            pa = project_support(a, omega)
-            np.testing.assert_array_equal(
-                project_support(pa, omega).to_array(), pa.to_array())
-            lhs = np.sum(pa.to_array() * b.to_array())
-            rhs = np.sum(a.to_array() * project_support(b, omega).to_array())
-            assert abs(lhs - rhs) < 1e-12 * (1 + abs(lhs))
-
-    def test_projected_support_is_contained(self, rng):
-        for _ in range(10):
-            dim = 5
-            pairs = [(i, j) for i in range(1, dim + 1) for j in range(1, i + 1)
-                     if rng.uniform() < 0.5]
-            omega = SupportPattern(dim, pairs)
-            a = random_symmetric(dim, rng)
-            assert support_of(project_support(a, omega), 0.0).issubset(omega)
 
 
 class TestCholesky:
