@@ -372,10 +372,10 @@ def cmd_baselines(scenario_dir, k: int | None = None,
                   out_dir=None) -> dict:
     """Common-neighbors (appearing) and reversed common-neighbors
     (disappearing) predictions, evaluated against truth when present."""
-    prior_support = symmat.read_support(
-        os.path.join(scenario_dir, "prior_support.txt"))
-    truth_path = os.path.join(scenario_dir, "true_support.txt")
-    truth = symmat.read_support(truth_path) if os.path.exists(truth_path) else None
+    prior_support = ggm.load_support(scenario_dir, "prior")
+    truth = None
+    if os.path.exists(os.path.join(scenario_dir, "true_support.txt")):
+        truth = ggm.load_support(scenario_dir, "true")
     if k is None:
         if truth is None:
             raise ValueError("no truth on disk: supply --k")

@@ -20,6 +20,7 @@ import numpy as np
 from .symmat import (
     SupportPattern,
     SymmetricMatrix,
+    _check_dims,
     _factor_or_raise,
     _log_det_of_factor,
     _packed_inverse,
@@ -80,18 +81,12 @@ class GaussianModel:
     def dim(self) -> int:
         return self.precision.dim
 
-    @classmethod
-    def from_precision(cls, precision: SymmetricMatrix) -> "GaussianModel":
-        """The same as ``GaussianModel(precision)``."""
-        return cls(precision)
-
 
 @dataclass(frozen=True)
 class ObservationSet:
     """N i.i.d. zero-mean samples of dimension m, one per row."""
 
     samples: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -152,8 +147,7 @@ def kl_divergence(cov_t: SymmetricMatrix, cov_s: SymmetricMatrix) -> float:
     factor (log det(S^-1 T) = log det T - log det S) rather than by forming
     S^-1 T.
     """
-    if cov_t.dim != cov_s.dim:
-        raise ValueError("dimension mismatch")
+    _check_dims(cov_t, cov_s)
     m = cov_t.dim
     message = "kl_divergence requires positive definite inputs"
     s_chol = _factor_or_raise(cov_s, message)
@@ -166,8 +160,7 @@ def kl_divergence(cov_t: SymmetricMatrix, cov_s: SymmetricMatrix) -> float:
 def relative_error(cov_true: SymmetricMatrix,
                    cov_est: SymmetricMatrix) -> float:
     """||T - T_est||_F / ||T||_F."""
-    if cov_true.dim != cov_est.dim:
-        raise ValueError("dimension mismatch")
+    _check_dims(cov_true, cov_est)
     denom = frobenius_norm(cov_true)
     if denom == 0.0:
         raise ValueError("relative_error undefined for a zero reference")
@@ -186,7 +179,7 @@ def draw_samples(cov: SymmetricMatrix, n: int, seed: int) -> ObservationSet:
     factor = _factor_or_raise(cov, "draw_samples requires a positive definite covariance")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, cov.dim))
-    return ObservationSet(samples=z @ factor.T, seed=seed)
+    return ObservationSet(samples=z @ factor.T)
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +196,7 @@ def _dominant_diagonal(arr: np.ndarray) -> np.ndarray:
     np.fill_diagonal(off, 0.0)
     row_sums = np.sum(np.abs(off), axis=1)
     margin = DIAG_MARGIN * float(np.max(row_sums))
-    if margin == 0.0:
-        np.fill_diagonal(off, 1.0)
-        return PRECISION_SCALE * off
-    np.fill_diagonal(off, row_sums + margin)
+    np.fill_diagonal(off, row_sums + margin if margin else 1.0)
     return PRECISION_SCALE * off
 
 
@@ -226,10 +216,8 @@ def random_model(dim: int, edge_density: float, seed: int) -> GaussianModel:
     for idx in sorted(chosen):
         i, j = candidates[idx]
         val = rng.uniform(lo, hi) * (1.0 if rng.uniform() < 0.5 else -1.0)
-        arr[i - 1, j - 1] = val
-        arr[j - 1, i - 1] = val
-    arr = _dominant_diagonal(arr)
-    return GaussianModel.from_precision(SymmetricMatrix(dim, _tril_of(arr)))
+        arr[i - 1, j - 1] = arr[j - 1, i - 1] = val
+    return GaussianModel(SymmetricMatrix.from_array(_dominant_diagonal(arr)))
 
 
 def perturb_model(base: GaussianModel, spec: ScenarioSpec) -> GaussianModel:
@@ -258,15 +246,12 @@ def perturb_model(base: GaussianModel, spec: ScenarioSpec) -> GaussianModel:
         for idx in sorted(rng.choice(len(absent), size=spec.n_add, replace=False)):
             i, j = absent[idx]
             val = scale * rng.uniform(lo, hi) * (1.0 if rng.uniform() < 0.5 else -1.0)
-            struct[i - 1, j - 1] = val
-            struct[j - 1, i - 1] = val
+            struct[i - 1, j - 1] = struct[j - 1, i - 1] = val
     if spec.n_remove:
         for idx in sorted(rng.choice(len(present), size=spec.n_remove, replace=False)):
             i, j = present[idx]
-            struct[i - 1, j - 1] = 0.0
-            struct[j - 1, i - 1] = 0.0
-    repaired = _dominant_diagonal(struct)
-    return GaussianModel.from_precision(SymmetricMatrix(base.dim, _tril_of(repaired)))
+            struct[i - 1, j - 1] = struct[j - 1, i - 1] = 0.0
+    return GaussianModel(SymmetricMatrix.from_array(_dominant_diagonal(struct)))
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +289,21 @@ def load_model(directory, prefix: str) -> GaussianModel:
     return model
 
 
+def load_support(directory, prefix: str) -> SupportPattern:
+    """The support in ``<prefix>_support.txt``, held to load_model's checks
+    when ``<prefix>_precision.txt`` exists."""
+    if os.path.exists(os.path.join(directory, f"{prefix}_precision.txt")):
+        return load_model(directory, prefix).precision_support
+    return read_support(os.path.join(directory, f"{prefix}_support.txt"))
+
+
 def save_observations(obs: ObservationSet, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for row in obs.samples.tolist():
             fh.write(",".join(map(repr, row)) + "\n")
 
 
-def load_observations(path, seed: int | None = None) -> ObservationSet:
+def load_observations(path) -> ObservationSet:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     # Empty input is caught here: loadtxt only warns, and silencing that
@@ -319,7 +312,7 @@ def load_observations(path, seed: int | None = None) -> ObservationSet:
     if not text.strip():
         raise ValueError(f"{path}: no observations")
     samples = np.loadtxt(text.splitlines(), delimiter=",", ndmin=2, comments=None)
-    return ObservationSet(samples=samples, seed=seed)
+    return ObservationSet(samples=samples)
 
 
 def save_metadata(meta: dict, path) -> None:

@@ -15,9 +15,12 @@ import numpy as np
 from .symmat import (
     SupportPattern,
     SymmetricMatrix,
+    _check_dims,
     _factor_or_raise,
+    _packed_diagonal,
     _packed_inverse,
-    _tril_of,
+    _support_json,
+    support_of,
 )
 
 SCORE_VARIANTS = ("as_written", "partial_correlation")
@@ -62,20 +65,14 @@ class PredictionReport:
     def to_dict(self) -> dict:
         out = {
             "method_name": self.method_name,
-            "predicted_support": {
-                "dim": self.predicted_support.dim,
-                "pairs": [list(p) for p in self.predicted_support.pairs()],
-            },
+            "predicted_support": _support_json(self.predicted_support),
             "false_positives": self.false_positives,
             "false_negatives": self.false_negatives,
             "mispredicted_total": self.mispredicted_total,
             "ties": self.ties,
         }
         if self.true_support is not None:
-            out["true_support"] = {
-                "dim": self.true_support.dim,
-                "pairs": [list(p) for p in self.true_support.pairs()],
-            }
+            out["true_support"] = _support_json(self.true_support)
         return out
 
 
@@ -90,12 +87,13 @@ def score_matrix(t_opt: SymmetricMatrix, variant: str = "partial_correlation",
         raise ValueError(f"unknown score variant {variant!r}")
     k = _packed_inverse(
         _factor_or_raise(t_opt, "score_matrix requires a positive definite input"))
-    diag = _tril_of(np.eye(t_opt.dim, dtype=bool))
+    diag = _packed_diagonal(t_opt.dim)
     if variant == "as_written":
         d = np.sqrt(t_opt.packed()[diag])
     else:
         d = 1.0 / np.sqrt(k[diag])
-    return ScoreMatrix(scores=SymmetricMatrix(t_opt.dim, _tril_of(np.outer(d, d)) * k),
+    scale = SymmetricMatrix.from_array(np.outer(d, d))
+    return ScoreMatrix(scores=SymmetricMatrix(t_opt.dim, scale.packed() * k),
                        variant=variant)
 
 
@@ -103,9 +101,7 @@ def threshold_support(r: ScoreMatrix, t_r: float) -> SupportPattern:
     """Off-diagonal pairs with |r_ij| > t_r, plus every diagonal pair."""
     if not 0.0 < t_r < np.inf:
         raise ValueError("threshold must be finite and strictly positive")
-    keep = np.abs(r.scores.to_array()) > t_r
-    np.fill_diagonal(keep, True)
-    return SupportPattern.from_mask(keep)
+    return support_of(r.scores, t_r).union(SupportPattern.diagonal(r.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +115,7 @@ def common_neighbors(support: SupportPattern) -> SymmetricMatrix:
     np.fill_diagonal(adj, 0.0)
     counts = adj @ adj
     np.fill_diagonal(counts, 0.0)
-    return SymmetricMatrix(support.dim, _tril_of(counts))
+    return SymmetricMatrix.from_array(counts)
 
 
 def _top_k(prior_support: SupportPattern, pool: SupportPattern, k: int,
@@ -130,7 +126,7 @@ def _top_k(prior_support: SupportPattern, pool: SupportPattern, k: int,
     equal scores keep lexicographic order."""
     pairs = pool.pairs()
     # The packed triangle holds the pairs in the sorted order of pairs().
-    scores = common_neighbors(prior_support).packed()[_tril_of(pool.mask())]
+    scores = common_neighbors(prior_support).packed()[pool.packed()]
     order = np.argsort(-scores if descending else scores, kind="stable")
     ranked = scores[order]
     ties = 0 < k < len(pairs) and bool(ranked[k - 1] == ranked[k])
@@ -181,8 +177,7 @@ def evaluate(predicted: SupportPattern, truth: SupportPattern,
              method_name: str = "evaluate") -> PredictionReport:
     """False positives (predicted but absent) and false negatives (present
     but missed), over undirected off-diagonal pairs."""
-    if predicted.dim != truth.dim:
-        raise ValueError("dimension mismatch")
+    _check_dims(predicted, truth)
     return PredictionReport(
         predicted_support=predicted,
         true_support=truth,

@@ -36,8 +36,8 @@ import numpy as np
 
 from .ggm import GaussianModel
 from .symmat import (SupportPattern, SymmetricMatrix, _chol_or_none, _factor_or_raise,
-                     _free_layout, _log_det_of_factor, _packed_inverse, _pair_weight,
-                     _trace_inner, _tril_of, support_of)
+                     _free_layout, _log_det_of_factor, _packed_diagonal, _packed_inverse,
+                     _pair_weight, _support_json, _trace_inner, support_of)
 
 # Line search. The problem has one optimum, so these set how fast a fit
 # gets there, not where it ends.
@@ -153,7 +153,7 @@ class SolveResult:
     objective_trace: list = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
-    duality_gap: float | None = None
+    duality_gap: float | None = None  # known: <grad J(L), L>, not a Fenchel gap
     constraint_residual: float | None = None
     support_estimate_raw: SupportPattern | None = None
 
@@ -166,10 +166,7 @@ class SolveResult:
             "objective_final": self.objective_trace[-1],
             "duality_gap": self.duality_gap,
             "constraint_residual": self.constraint_residual,
-            "support_estimate_raw": {
-                "dim": self.support_estimate_raw.dim,
-                "pairs": [list(p) for p in self.support_estimate_raw.pairs()],
-            },
+            "support_estimate_raw": _support_json(self.support_estimate_raw),
         }
 
 
@@ -214,17 +211,16 @@ class _Penalty:
     """The penalty of one solve (module docstring) on the entries of the packed
     mask ``free``: sum weight * |L_ij + anchor|, each 0 where it does not apply."""
 
-    def __init__(self, spec: PenaltySpec, prior_mask: np.ndarray,
+    def __init__(self, spec: PenaltySpec, prior_support: SupportPattern,
                  s_inv: np.ndarray):
-        dim = prior_mask.shape[0]
-        prior = _tril_of(prior_mask)
-        offdiag = ~_tril_of(np.eye(dim, dtype=bool))
+        prior = prior_support.packed()
+        offdiag = ~_packed_diagonal(prior_support.dim)
         inside = offdiag & prior
         self.free = np.ones_like(prior)
         if spec.kind == "known":
-            if spec.omega.dim != dim:
+            if spec.omega.dim != prior_support.dim:
                 raise ValueError("constraint support dimension does not match the model")
-            self.free = _tril_of(spec.omega.mask())
+            self.free = spec.omega.packed()
         elif spec.kind == "nlp":
             self.free = prior
         # PenaltySpec sets exactly the weights of its kind; the rest are None.
@@ -245,7 +241,7 @@ def _prox(lam: SymmetricMatrix, step: float, spec: PenaltySpec,
           s_inv: SymmetricMatrix, prior_support: SupportPattern):
     if step <= 0:
         raise ValueError("step must be positive")
-    penalty = _Penalty(spec, prior_support.mask(), s_inv.packed())
+    penalty = _Penalty(spec, prior_support, s_inv.packed())
     out = np.zeros(lam.packed().size)
     out[penalty.free] = penalty.prox(lam.packed()[penalty.free], step)
     return SymmetricMatrix(lam.dim, out)
@@ -301,9 +297,9 @@ def random_feasible_start(s_inv: SymmetricMatrix, seed: int,
     (restriction applied before the feasibility scaling)."""
     dim = s_inv.dim
     rng = np.random.default_rng(seed)
-    g = _tril_of(rng.standard_normal((dim, dim)))
+    g = rng.standard_normal(s_inv.packed().size)
     if support is not None:
-        g = np.where(_tril_of(support.mask()), g, 0.0)
+        g = np.where(support.packed(), g, 0.0)
     alpha = 1.0
     for _ in range(200):
         if _chol_or_none(dim, s_inv.packed() + alpha * g) is not None:
@@ -334,7 +330,7 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
     if lam0 is not None and lam0.dim != dim:
         raise ValueError("initial multiplier dimension does not match the model")
     s_inv = model.precision.packed()
-    pen = _Penalty(penalty, model.precision_support.mask(), s_inv)
+    pen = _Penalty(penalty, model.precision_support, s_inv)
     base, mask = _free_layout(s_inv, pen.free)
     s_free = s_inv[pen.free]
     # One weight for tr(T_hat X) = t_w . x and for the gradient (docstring).
@@ -448,7 +444,7 @@ def solve_known_support(model: GaussianModel, t_hat: SymmetricMatrix,
                         omega: SupportPattern,
                         cfg: SolverConfig = SolverConfig(),
                         lam0: SymmetricMatrix | None = None) -> SolveResult:
-    """Projected-gradient solve of the support-constrained problem; the
-    result carries the duality gap and the constraint residual
-    ||P_omega(T_o - T_hat)||_F."""
+    """Projected-gradient solve of the support-constrained problem; the result carries
+    ``duality_gap``, the complementary-slackness residual <grad J(L), L> over omega (no
+    Fenchel gap: first order, can be < 0), and ||P_omega(T_o - T_hat)||_F."""
     return solve(model, t_hat, PenaltySpec.known_support(omega), cfg, lam0=lam0)

@@ -1,8 +1,9 @@
 """Dense symmetric matrices and symmetric index-pair sets.
 
 Matrices store a single (lower) triangle, so symmetry is exact by
-construction and never drifts through arithmetic. A support pattern is one
-symmetric boolean mask, a format no other module knows. Index pairs are
+construction and never drifts through arithmetic. A support pattern is a
+boolean triangle in the same packed layout; only this module converts
+between full arrays and packed triangles. Index pairs are
 1-based everywhere in the public interface; a pair (i, j) always means the
 unordered pair, read back canonically with i >= j.
 """
@@ -32,10 +33,30 @@ def _tril_of(arr: np.ndarray) -> np.ndarray:
     return arr[_lower_mask(arr.shape[0])]
 
 
+def _packed_index(i: int, j: int) -> int:
+    """Position of the 1-based pair (i, j), in either order, in a packed triangle."""
+    if i < j:
+        i, j = j, i
+    return (i - 1) * i // 2 + (j - 1)
+
+
+@functools.lru_cache(maxsize=8)
+def _packed_diagonal(dim: int) -> np.ndarray:
+    """Read-only packed mask of the diagonal entries."""
+    diag = _tril_of(np.eye(dim, dtype=bool))
+    diag.setflags(write=False)
+    return diag
+
+
 def _pair_weight(dim: int) -> np.ndarray:
     """How often each packed entry occurs in the full matrix: 2 off the
     diagonal, 1 on it. This is the one place off-diagonals double."""
-    return 2.0 - _tril_of(np.eye(dim))
+    return 2.0 - _packed_diagonal(dim)
+
+
+def _check_dims(a, b) -> None:
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
 def _trace_inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -56,16 +77,12 @@ class SymmetricMatrix:
     def __init__(self, dim: int, packed: np.ndarray):
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        packed = np.asarray(packed, dtype=np.float64)
+        packed = np.array(packed, dtype=np.float64)  # a copy
         if packed.shape != (_packed_size(dim),):
-            raise ValueError(
-                f"packed triangle has {packed.size} entries, "
-                f"expected {_packed_size(dim)} for dim {dim}"
-            )
-        packed = packed.copy()
+            raise ValueError(f"packed triangle has {packed.size} entries, "
+                             f"expected {_packed_size(dim)} for dim {dim}")
         packed.setflags(write=False)
-        self.dim = dim
-        self._packed = packed
+        self.dim, self._packed = dim, packed
 
     # ---- constructors ----
 
@@ -97,8 +114,7 @@ class SymmetricMatrix:
         """Full dense (dim, dim) array; both triangles filled."""
         full = np.zeros((self.dim, self.dim))
         full[_lower_mask(self.dim)] = self._packed
-        full = full + np.tril(full, -1).T
-        return full
+        return full + np.tril(full, -1).T
 
     def packed(self) -> np.ndarray:
         """Read-only packed lower triangle (row-major)."""
@@ -108,18 +124,16 @@ class SymmetricMatrix:
         i, j = key
         if not (1 <= i <= self.dim and 1 <= j <= self.dim):
             raise IndexError(f"index ({i}, {j}) out of range for dim {self.dim}")
-        if i < j:
-            i, j = j, i
-        return float(self._packed[(i - 1) * i // 2 + (j - 1)])
+        return float(self._packed[_packed_index(i, j)])
 
     # ---- arithmetic (symmetry is closed under these) ----
 
     def __add__(self, other: "SymmetricMatrix") -> "SymmetricMatrix":
-        self._check_dim(other)
+        _check_dims(self, other)
         return SymmetricMatrix(self.dim, self._packed + other._packed)
 
     def __sub__(self, other: "SymmetricMatrix") -> "SymmetricMatrix":
-        self._check_dim(other)
+        _check_dims(self, other)
         return SymmetricMatrix(self.dim, self._packed - other._packed)
 
     def __mul__(self, scalar: float) -> "SymmetricMatrix":
@@ -130,10 +144,6 @@ class SymmetricMatrix:
     def __neg__(self) -> "SymmetricMatrix":
         return SymmetricMatrix(self.dim, -self._packed)
 
-    def _check_dim(self, other: "SymmetricMatrix") -> None:
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
     def __repr__(self) -> str:
         return f"SymmetricMatrix(dim={self.dim})"
 
@@ -141,38 +151,44 @@ class SymmetricMatrix:
 class SupportPattern:
     """Symmetric set of 1-based index pairs over {1..dim} x {1..dim}.
 
-    Stored as one read-only symmetric boolean (dim, dim) mask, 0-based:
-    (i, j) is a member iff mask[i-1, j-1] is set. Pairs read back with i >= j.
+    Stored as one read-only packed boolean triangle in the layout of
+    SymmetricMatrix: (i, j) is a member iff its packed entry is set. The
+    row-major packed order is the sorted order of the pairs (i >= j).
     """
 
-    __slots__ = ("dim", "_mask")
+    __slots__ = ("dim", "_packed")
 
     def __init__(self, dim: int, pairs):
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        mask = np.zeros((dim, dim), dtype=bool)
+        packed = np.zeros(_packed_size(dim), dtype=bool)
         for i, j in pairs:
             i, j = int(i), int(j)
             if i < j:
                 i, j = j, i
             if not (1 <= j <= i <= dim):
                 raise ValueError(f"pair ({i}, {j}) out of range for dim {dim}")
-            mask[i - 1, j - 1] = mask[j - 1, i - 1] = True
-        mask.setflags(write=False)
-        self.dim, self._mask = dim, mask
+            packed[_packed_index(i, j)] = True
+        packed.setflags(write=False)
+        self.dim, self._packed = dim, packed
 
     # ---- constructors ----
 
     @classmethod
+    def _of_packed(cls, dim: int, packed: np.ndarray) -> "SupportPattern":
+        """Pattern that takes over a new packed boolean triangle, unchecked."""
+        packed.setflags(write=False)
+        out = cls.__new__(cls)
+        out.dim, out._packed = dim, packed
+        return out
+
+    @classmethod
     def from_mask(cls, mask) -> "SupportPattern":
         """Pattern of a symmetric boolean (dim, dim) membership mask, 0-based."""
-        mask = np.array(mask, dtype=bool)
+        mask = np.asarray(mask, dtype=bool)
         if mask.ndim != 2 or mask.size == 0 or not np.array_equal(mask, mask.T):
             raise ValueError(f"expected a symmetric square mask, got shape {mask.shape}")
-        mask.setflags(write=False)
-        out = cls.__new__(cls)
-        out.dim, out._mask = mask.shape[0], mask
-        return out
+        return cls._of_packed(mask.shape[0], _tril_of(mask))
 
     @classmethod
     def empty(cls, dim: int) -> "SupportPattern":
@@ -180,71 +196,74 @@ class SupportPattern:
 
     @classmethod
     def diagonal(cls, dim: int) -> "SupportPattern":
-        return cls.from_mask(np.eye(dim, dtype=bool))
+        return cls._of_packed(dim, _packed_diagonal(dim).copy())
 
     @classmethod
     def full(cls, dim: int) -> "SupportPattern":
-        return cls.from_mask(np.ones((dim, dim), dtype=bool))
+        return cls._of_packed(dim, np.ones(_packed_size(dim), dtype=bool))
 
     # ---- queries ----
 
     def __contains__(self, pair) -> bool:
         i, j = pair
         # Out-of-range pairs are absent; a negative index must not wrap.
-        return 1 <= min(i, j) and max(i, j) <= self.dim and bool(self._mask[i - 1, j - 1])
+        return (1 <= min(i, j) and max(i, j) <= self.dim
+                and bool(self._packed[_packed_index(i, j)]))
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(self._mask) + self._mask.trace()) // 2
+        return int(np.count_nonzero(self._packed))
 
     def __iter__(self):
         return iter(self.pairs())
 
     def pairs(self) -> list:
         """Canonical (i >= j) pairs in sorted order."""
-        return self._lower(0)
+        return self._pairs_of(self._packed)
 
     def off_diagonal(self) -> list:
         """Canonical pairs with i > j, sorted."""
-        return self._lower(-1)
+        return self._pairs_of(self._packed & ~_packed_diagonal(self.dim))
 
-    def _lower(self, k: int) -> list:
-        # Row-major order is the sorted order; pairs share one list's ints.
-        flat = np.flatnonzero(self._mask & np.tri(self.dim, k=k, dtype=bool))
-        ii, jj = np.divmod(flat, self.dim)
+    def _pairs_of(self, packed: np.ndarray) -> list:
+        # Packed order is the sorted order; pairs share one list's ints.
+        rows, cols = np.nonzero(_lower_mask(self.dim))
+        flat = np.flatnonzero(packed)
         index = list(range(1, self.dim + 1)).__getitem__
-        return list(zip(map(index, ii), map(index, jj)))
+        return list(zip(map(index, rows[flat]), map(index, cols[flat])))
 
     def union(self, other: "SupportPattern") -> "SupportPattern":
-        self._check_dim(other)
-        return SupportPattern.from_mask(self._mask | other._mask)
+        _check_dims(self, other)
+        return SupportPattern._of_packed(self.dim, self._packed | other._packed)
 
     def minus(self, other: "SupportPattern") -> "SupportPattern":
-        self._check_dim(other)
-        return SupportPattern.from_mask(self._mask & ~other._mask)
+        _check_dims(self, other)
+        return SupportPattern._of_packed(self.dim, self._packed & ~other._packed)
 
     def complement(self) -> "SupportPattern":
         """All pairs of the full pattern not in this one."""
-        return SupportPattern.from_mask(~self._mask)
+        return SupportPattern._of_packed(self.dim, ~self._packed)
 
     def issubset(self, other: "SupportPattern") -> bool:
-        self._check_dim(other)
-        return not np.any(self._mask & ~other._mask)
+        _check_dims(self, other)
+        return not np.any(self._packed & ~other._packed)
+
+    def packed(self) -> np.ndarray:
+        """Read-only packed boolean triangle (row-major)."""
+        return self._packed
 
     def mask(self) -> np.ndarray:
-        """Symmetric boolean (dim, dim) membership mask, 0-based (a copy)."""
-        return self._mask.copy()
+        """Symmetric boolean (dim, dim) membership mask, 0-based (a new array)."""
+        full = np.zeros((self.dim, self.dim), dtype=bool)
+        full[_lower_mask(self.dim)] = self._packed
+        return full | full.T
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SupportPattern):
             return NotImplemented
-        return self.dim == other.dim and np.array_equal(self._mask, other._mask)
+        return self.dim == other.dim and np.array_equal(self._packed, other._packed)
 
     def __hash__(self) -> int:
-        return hash((self.dim, self._mask.tobytes()))
-
-    def _check_dim(self, other: "SupportPattern") -> None:
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        return hash((self.dim, self._packed.tobytes()))
 
     def __repr__(self) -> str:
         return f"SupportPattern(dim={self.dim}, npairs={len(self)})"
@@ -348,7 +367,7 @@ def support_of(a: SymmetricMatrix, zero_tol: float) -> SupportPattern:
     """Pairs where |a[i, j]| exceeds ``zero_tol`` (strictly)."""
     if zero_tol < 0:
         raise ValueError("zero_tol must be >= 0")
-    return SupportPattern.from_mask(np.abs(a.to_array()) > zero_tol)
+    return SupportPattern._of_packed(a.dim, np.abs(a.packed()) > zero_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -358,55 +377,49 @@ def support_of(a: SymmetricMatrix, zero_tol: float) -> SupportPattern:
 # Support file: first line m, then one "i j" pair per line.
 # Lines starting with '#' are comments and skipped on read.
 
-def _data_lines(path) -> list:
+def _data_lines(path, kind: str) -> tuple:
+    """The dimension on the first data line, and the data lines after it."""
     with open(path, "r", encoding="utf-8") as fh:
-        return [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
+        lines = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
+    if not lines:
+        raise ValueError(f"{path}: empty {kind} file")
+    return int(lines[0]), lines[1:]
+
+
+def _support_json(omega: SupportPattern) -> dict:
+    """The JSON form of a support: its dim and its sorted pairs."""
+    return {"dim": omega.dim, "pairs": [list(p) for p in omega.pairs()]}
+
+
+def _write_lines(path, header: str | None, dim: int, lines: list) -> None:
+    head = [f"# {header}"] if header else []
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(head + [str(dim)] + lines) + "\n")
 
 
 def write_matrix(a: SymmetricMatrix, path, header: str | None = None) -> None:
-    full = a.to_array()
-    lines = []
-    if header:
-        lines.append(f"# {header}")
-    lines.append(str(a.dim))
-    for row in full:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, header, a.dim,
+                 [" ".join(repr(float(v)) for v in row) for row in a.to_array()])
 
 
 def read_matrix(path) -> SymmetricMatrix:
-    lines = _data_lines(path)
-    if not lines:
-        raise ValueError(f"{path}: empty matrix file")
-    dim = int(lines[0])
-    if len(lines) != dim + 1:
-        raise ValueError(f"{path}: expected {dim} rows, found {len(lines) - 1}")
-    rows = [[float(tok) for tok in ln.split()] for ln in lines[1:]]
-    arr = np.array(rows, dtype=np.float64)
+    dim, lines = _data_lines(path, "matrix")
+    if len(lines) != dim:
+        raise ValueError(f"{path}: expected {dim} rows, found {len(lines)}")
+    arr = np.array([[float(tok) for tok in ln.split()] for ln in lines], dtype=np.float64)
     if arr.shape != (dim, dim):
         raise ValueError(f"{path}: malformed rows for dim {dim}")
     return SymmetricMatrix.from_array(arr)
 
 
 def write_support(omega: SupportPattern, path, header: str | None = None) -> None:
-    lines = []
-    if header:
-        lines.append(f"# {header}")
-    lines.append(str(omega.dim))
-    for i, j in omega.pairs():
-        lines.append(f"{i} {j}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, header, omega.dim, [f"{i} {j}" for i, j in omega.pairs()])
 
 
 def read_support(path) -> SupportPattern:
-    lines = _data_lines(path)
-    if not lines:
-        raise ValueError(f"{path}: empty support file")
-    dim = int(lines[0])
+    dim, lines = _data_lines(path, "support")
     pairs = []
-    for ln in lines[1:]:
+    for ln in lines:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"{path}: bad support line {ln!r}")

@@ -147,7 +147,7 @@ def test_criterion_3_known_support():
 
     # Dempster special case: identity prior, diagonal constraints.
     d = np.array([0.5, 1.2, 2.0, 0.8, 3.0])
-    prior = GaussianModel.from_precision(SymmetricMatrix.identity(5))
+    prior = GaussianModel(SymmetricMatrix.identity(5))
     res = solve_known_support(prior, SymmetricMatrix.diagonal(d),
                               SupportPattern.diagonal(5),
                               SolverConfig(grad_tol=1e-12, max_iters=200000))
@@ -342,10 +342,10 @@ def test_criterion_8_baselines_and_unfriendly_network():
     for i, j, w in [(1, 2, 0.5), (3, 4, -0.45), (5, 6, 0.5), (7, 8, -0.4),
                     (9, 10, 0.45)]:
         struct[i - 1, j - 1] = struct[j - 1, i - 1] = w
-    prior = GaussianModel.from_precision(
+    prior = GaussianModel(
         SymmetricMatrix(dim, _tril_of(_dominant_diagonal(struct))))
     struct[5, 2] = struct[2, 5] = 0.5
-    truth = GaussianModel.from_precision(
+    truth = GaussianModel(
         SymmetricMatrix(dim, _tril_of(_dominant_diagonal(struct))))
     assert common_neighbors(prior.precision_support)[6, 3] == 0.0
 

@@ -356,6 +356,16 @@ class TestModelFiles:
         assert str(scen / "prior_support.txt") in err[0]
         assert not list(scen.glob("fit_*"))
 
+    def test_baselines_reject_edited_prior_support(self, tmp_path, capsys):
+        _, scen = desk_scenario(tmp_path)
+        drop_edge(scen / "prior_support.txt", (2, 1))
+        capsys.readouterr()
+        assert main(["baselines", str(scen)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {scen / 'prior_support.txt'}: support differs"
+                       " from the nonzeros of prior_precision.txt"]
+        assert not list(scen.glob("baseline_*"))
+
     def test_fit_known_rejects_edited_true_support(self, tmp_path, capsys):
         _, scen = desk_scenario(tmp_path)
         truth = symmat.read_support(scen / "true_support.txt")

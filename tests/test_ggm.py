@@ -308,7 +308,7 @@ class TestSerialization:
 class TestGaussianModel:
     def test_from_precision_support_exact(self, rng):
         arr = np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 1.5]])
-        model = GaussianModel.from_precision(SymmetricMatrix.from_array(arr))
+        model = GaussianModel(SymmetricMatrix.from_array(arr))
         assert model.precision_support == SupportPattern(3, [(1, 1), (2, 2), (3, 3), (2, 1)])
         res = model.covariance.to_array() @ arr - np.eye(3)
         assert np.linalg.norm(res) < 1e-12
@@ -316,7 +316,7 @@ class TestGaussianModel:
     def test_rejects_non_pd(self):
         bad = SymmetricMatrix.from_array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(ValueError):
-            GaussianModel.from_precision(bad)
+            GaussianModel(bad)
 
     def test_non_finite_precision_rejected(self):
         # A NaN off the support would leave the support as it was; the

@@ -314,7 +314,7 @@ class TestSolvePenalized:
         assert res.support_estimate_raw.issubset(prior.precision_support)
 
     def test_nlp_prior_stationary_at_its_own_statistics(self):
-        prior = GaussianModel.from_precision(random_pd(5, np.random.default_rng(3)))
+        prior = GaussianModel(random_pd(5, np.random.default_rng(3)))
         res = solve(prior, prior.covariance, PenaltySpec.nlp(1e-9))
         assert frobenius_norm(res.lambda_opt) < 1e-6
         assert frobenius_norm(res.t_opt - prior.covariance) < 1e-6
@@ -462,7 +462,7 @@ class TestSolvePenalized:
         # against a prior precision of 1e5 I. The floor stops it after one
         # step; without the floor it runs all 50 iterations.
         big = SymmetricMatrix.from_array(1e5 * np.eye(3))
-        prior = GaussianModel.from_precision(big)
+        prior = GaussianModel(big)
         t_hat = sample_covariance(draw_samples(big, 500, seed=4))
         res = solve(prior, t_hat, PenaltySpec.plp(0.1), SolverConfig(max_iters=50))
         assert res.iterations == 1
@@ -511,7 +511,7 @@ class TestSolveKnownSupport:
         # Identity prior with a diagonal constraint set: the optimum is the
         # diagonal matrix carrying the constrained entries.
         d = np.array([0.5, 1.2, 2.0, 0.8, 3.0])
-        prior = GaussianModel.from_precision(SymmetricMatrix.identity(5))
+        prior = GaussianModel(SymmetricMatrix.identity(5))
         res = solve_known_support(prior, SymmetricMatrix.diagonal(d),
                                   SupportPattern.diagonal(5),
                                   SolverConfig(grad_tol=1e-12, max_iters=200000))
@@ -537,7 +537,7 @@ class TestSolveKnownSupport:
 
     def test_inconsistent_constraints_diverge(self):
         # No PD matrix agrees with an indefinite T_hat on the full support.
-        prior = GaussianModel.from_precision(SymmetricMatrix.identity(2))
+        prior = GaussianModel(SymmetricMatrix.identity(2))
         bad = SymmetricMatrix.from_array([[1.0, 2.0], [2.0, 1.0]])
         res = solve_known_support(prior, bad, SupportPattern.full(2),
                                   SolverConfig(max_iters=3000))
@@ -650,7 +650,7 @@ def unpack(packed):
 def penalty_prox(spec, prior, s_inv, v, t):
     """Full symmetric array of the solver's prox of ``v``: _Penalty maps the
     free entries, and the fixed entries are 0."""
-    penalty = _Penalty(spec, prior, _tril_of(s_inv))
+    penalty = _Penalty(spec, SupportPattern.from_mask(prior), _tril_of(s_inv))
     out = np.zeros(penalty.free.size)
     out[penalty.free] = penalty.prox(_tril_of(v)[penalty.free], t)
     return unpack(out)
@@ -697,7 +697,7 @@ class TestPenaltyCoreProperties:
         # The public maps return _Penalty's prox on the free entries and
         # exactly 0 on the fixed ones; `known` has only the private one.
         spec, prior, omega, s_inv, v, t = case
-        penalty = _Penalty(spec, prior, _tril_of(s_inv))
+        penalty = _Penalty(spec, SupportPattern.from_mask(prior), _tril_of(s_inv))
         lam = SymmetricMatrix.from_array(v, tol=0.0)
         s = SymmetricMatrix.from_array(s_inv, tol=0.0)
         pattern = SupportPattern.from_mask(prior)
@@ -770,7 +770,7 @@ class TestPenaltyCoreProperties:
         }[kind]
         cfg = SolverConfig(grad_tol=1e-10)
         res = solve(prior, t_hat, penalties[0], cfg)
-        prior_p = GaussianModel.from_precision(SymmetricMatrix.from_array(
+        prior_p = GaussianModel(SymmetricMatrix.from_array(
             permuted(prior.precision.to_array())))
         t_hat_p = SymmetricMatrix.from_array(permuted(t_hat.to_array()))
         res_p = solve(prior_p, t_hat_p, penalties[1], cfg)
@@ -793,7 +793,7 @@ class TestPenaltyCoreProperties:
         gammas = {"plp": (0.1,), "nlp": (0.2,), "mixed": (0.1, 0.2)}[kind]
         make = getattr(PenaltySpec, kind)
         res = solve(prior, t_hat, make(*gammas))
-        prior_c = GaussianModel.from_precision(prior.precision * (1.0 / c))
+        prior_c = GaussianModel(prior.precision * (1.0 / c))
         res_c = solve(prior_c, c * t_hat, make(*(c * g for g in gammas)))
         assert res.converged and res_c.converged
         # At the default grad_tol the worst gap over 10 seeds x c in

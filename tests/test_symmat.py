@@ -172,6 +172,11 @@ class TestSupportPatternAgainstSetOracle:
         m[:] = ~m
         np.testing.assert_array_equal(a.mask(), oracle_mask(dim, sa))
         assert SupportPattern.from_mask(a.mask()) == a
+        # The stored layout: the row-major lower triangle, read-only.
+        np.testing.assert_array_equal(
+            a.packed(), oracle_mask(dim, sa)[np.tri(dim, dtype=bool)])
+        with pytest.raises(ValueError):
+            a.packed()[0] = not a.packed()[0]
 
         assert SupportPattern.empty(dim).pairs() == []
         assert SupportPattern.diagonal(dim).pairs() == sorted(
