@@ -122,15 +122,15 @@ def _top_k(prior_support: SupportPattern, pool: SupportPattern, k: int,
            descending: bool):
     """The first k off-diagonal pairs of ``pool`` by the prior's
     common-neighbors count, as a pattern, and whether the k-th and the
-    (k+1)-th scores tie. The pairs come sorted and the sort is stable, so
-    equal scores keep lexicographic order."""
-    pairs = pool.pairs()
-    # The packed triangle holds the pairs in the sorted order of pairs().
-    scores = common_neighbors(prior_support).packed()[pool.packed()]
+    (k+1)-th scores tie. Packed order is the sorted order of the pairs and
+    the sort is stable, so equal scores keep lexicographic order."""
+    index = np.flatnonzero(pool.packed())
+    scores = common_neighbors(prior_support).packed()[index]
     order = np.argsort(-scores if descending else scores, kind="stable")
-    ranked = scores[order]
-    ties = 0 < k < len(pairs) and bool(ranked[k - 1] == ranked[k])
-    return SupportPattern(pool.dim, [pairs[i] for i in order[:k]]), ties
+    ties = 0 < k < index.size and bool(scores[order[k - 1]] == scores[order[k]])
+    chosen = np.zeros_like(pool.packed())
+    chosen[index[order[:k]]] = True
+    return SupportPattern._of_packed(pool.dim, chosen), ties
 
 
 def plp_baseline(prior_support: SupportPattern, k: int) -> PredictionReport:

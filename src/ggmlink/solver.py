@@ -17,12 +17,13 @@ choose W (0 where not listed) and F:
                 off the prior support: disappearing edges.
   * mixed    -- W = eta_p off the prior support and eta_n on it.
 
-The solution covariance is recovered as T_o = (S^-1 + L)^-1.
-
-Convention: the solver iterates on the free packed entries, the entries off F
-of the lower triangle that SymmetricMatrix stores. An off-diagonal variable
-stands for two full-matrix entries, so tr(T_hat L) and the smooth gradient
-2 (T_hat - (S^-1+L)^-1)_ij share one weight, 2 off the diagonal and 1 on it:
+Convention: the solver iterates on the free packed entries of K = S^-1 + L,
+the entries off F of the lower triangle that SymmetricMatrix stores, and
+recovers the covariance as T_o = K^-1. S^-1 is exactly 0 off the prior
+support, so |L_ij + A_ij| = |K_ij| wherever W_ij > 0: in K the penalty is a
+weighted l1 norm and J gains the constant tr(T_hat S^-1). An off-diagonal
+variable stands for two full-matrix entries, so tr(T_hat K) and the smooth
+gradient 2 (T_hat - K^-1)_ij share one weight, 2 off the diagonal and 1 on it:
 the only place off-diagonals double. The penalty, the prox threshold t*gamma
 and step norms count each variable once. KKT checks must use this convention.
 """
@@ -50,8 +51,8 @@ _BB_STEP_MIN = 1e-6
 _BB_STEP_MAX = 1e6
 # A fit whose residual has not reached a new minimum for this many
 # iterations stops, flagged as not converged: its grad_tol is below what
-# the computed objective can resolve. Converging fits measured on both
-# benchmark workloads set a new minimum at least every 6 iterations.
+# the computed objective can resolve. Converging fits set a new minimum at
+# least every 6 iterations on desk-sweep and every 3 on scale-fit.
 _STALL_ITERS = 500
 # The support estimate keeps |K_ij| above this share of max |K|.
 _SUPPORT_REL_TOL = 1e-8
@@ -198,24 +199,12 @@ def primal_from_dual(lam: SymmetricMatrix,
 # Proximal maps
 # ---------------------------------------------------------------------------
 
-def _soft(v: np.ndarray, thr: np.ndarray) -> np.ndarray:
-    # sign(v) * max(|v| - thr, 0), with fewer temporaries.
-    mag = np.abs(v)
-    mag -= thr
-    np.maximum(mag, 0.0, out=mag)
-    mag *= np.sign(v)
-    return mag
-
-
 class _Penalty:
-    """The penalty of one solve (module docstring) on the entries of the packed
-    mask ``free``: sum weight * |L_ij + anchor|, each 0 where it does not apply."""
+    """The penalty of one solve in K (module docstring) on the packed mask
+    ``free``: sum weight * |K_ij|, each weight 0 where it does not apply."""
 
-    def __init__(self, spec: PenaltySpec, prior_support: SupportPattern,
-                 s_inv: np.ndarray):
+    def __init__(self, spec: PenaltySpec, prior_support: SupportPattern):
         prior = prior_support.packed()
-        offdiag = ~_packed_diagonal(prior_support.dim)
-        inside = offdiag & prior
         self.free = np.ones_like(prior)
         if spec.kind == "known":
             if spec.omega.dim != prior_support.dim:
@@ -224,26 +213,30 @@ class _Penalty:
         elif spec.kind == "nlp":
             self.free = prior
         # PenaltySpec sets exactly the weights of its kind; the rest are None.
-        weight = offdiag * np.where(prior, spec.gamma_n or spec.eta_n or 0.0,
-                                    spec.gamma_p or spec.eta_p or 0.0)
-        anchor = np.where(inside & (weight > 0.0), s_inv, 0.0)
-        self.weight, self.anchor = weight[self.free], anchor[self.free]
+        weight = ~_packed_diagonal(prior_support.dim) * np.where(
+            prior, spec.gamma_n or spec.eta_n or 0.0, spec.gamma_p or spec.eta_p or 0.0)
+        self.weight = weight[self.free]
 
-    def prox(self, x: np.ndarray, step: float) -> np.ndarray:
-        """argmin_y 0.5 ||y - x||^2 / step + penalty(y), entrywise."""
-        return _soft(x + self.anchor, step * self.weight) - self.anchor
-
-    def value(self, x: np.ndarray) -> float:
-        return float(np.dot(self.weight, np.abs(x + self.anchor)))
+    def prox(self, x: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+        """Overwrite x with y = argmin_y 0.5 ||y - x||^2 / step + penalty(y),
+        a weighted soft threshold; return y and |y|."""
+        magnitude = np.abs(x)
+        magnitude -= step * self.weight
+        np.maximum(magnitude, 0.0, out=magnitude)
+        return np.copysign(magnitude, x, out=x), magnitude
 
 
 def _prox(lam: SymmetricMatrix, step: float, spec: PenaltySpec,
           s_inv: SymmetricMatrix, prior_support: SupportPattern):
+    """The prox in L: shift by the anchor A, apply the prox in K, shift back."""
     if step <= 0:
         raise ValueError("step must be positive")
-    penalty = _Penalty(spec, prior_support, s_inv.packed())
+    penalty = _Penalty(spec, prior_support)
+    free = penalty.free
+    anchor = np.where(prior_support.packed()[free] & (penalty.weight > 0.0),
+                      s_inv.packed()[free], 0.0)
     out = np.zeros(lam.packed().size)
-    out[penalty.free] = penalty.prox(lam.packed()[penalty.free], step)
+    out[free] = penalty.prox(lam.packed()[free] + anchor, step)[0] - anchor
     return SymmetricMatrix(lam.dim, out)
 
 
@@ -279,15 +272,17 @@ def prox_mixed(lam: SymmetricMatrix, step: float, eta_p: float, eta_n: float,
 # ---------------------------------------------------------------------------
 
 def _bb_step(delta: np.ndarray, dg: np.ndarray) -> float:
-    """Barzilai-Borwein (BB1) trial step <dx, dx> / <dx, dg> from the last
+    """Short Barzilai-Borwein trial step <dx, dg> / <dg, dg> (by Cauchy-Schwarz
+    never longer than the long one, <dx, dx> / <dx, dg>) from the last
     accepted move dx and the change dg in the free gradient, clipped to
     [_BB_STEP_MIN, _BB_STEP_MAX]; _STEP_INIT when the curvature <dx, dg> is
     not positive and finite."""
     curvature = float(np.dot(delta, dg))
     if not 0.0 < curvature < np.inf:
         return _STEP_INIT
-    return min(max(float(np.dot(delta, delta)) / curvature, _BB_STEP_MIN),
-               _BB_STEP_MAX)
+    norm = float(np.dot(dg, dg))  # 0 only when it underflows
+    step = curvature / norm if norm > 0.0 else _BB_STEP_MAX
+    return min(max(step, _BB_STEP_MIN), _BB_STEP_MAX)
 
 
 def random_feasible_start(s_inv: SymmetricMatrix, seed: int,
@@ -314,13 +309,13 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
           lam0: SymmetricMatrix | None = None) -> SolveResult:
     """Proximal-gradient descent on the penalized dual functional (G-ISTA).
 
-    Each line search starts from the Barzilai-Borwein step of the last
-    accepted move. Backtracking rejects any candidate whose S^-1 + L fails
-    the Cholesky feasibility test and otherwise enforces sufficient decrease
-    of the composite objective. Terminates when the proximal-gradient
-    residual (step-normalized move, lower-triangle norm) drops to
-    cfg.grad_tol. A fit that reaches max_iters, or whose residual stops
-    improving, is flagged as not converged, not raised.
+    Iterates on K (module docstring). Each line search starts from the short
+    Barzilai-Borwein step of the last accepted move. Backtracking rejects any
+    candidate K that fails the Cholesky feasibility test and otherwise
+    enforces sufficient decrease of the composite objective. Terminates when
+    the proximal-gradient residual (step-normalized move, lower-triangle
+    norm) drops to cfg.grad_tol. A fit that reaches max_iters, or whose
+    residual stops improving, is flagged as not converged, not raised.
     """
     dim = model.dim
     if t_hat.dim != dim:
@@ -330,30 +325,33 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
     if lam0 is not None and lam0.dim != dim:
         raise ValueError("initial multiplier dimension does not match the model")
     s_inv = model.precision.packed()
-    pen = _Penalty(penalty, model.precision_support, s_inv)
+    pen = _Penalty(penalty, model.precision_support)
     base, mask = _free_layout(s_inv, pen.free)
     s_free = s_inv[pen.free]
     # One weight for tr(T_hat X) = t_w . x and for the gradient (docstring).
     weight = _pair_weight(dim)[pen.free]
     t_w = weight * t_hat.packed()[pen.free]
+    # The trace reports the objective in L, the one in K less t_w . s_free.
+    offset = float(np.dot(t_w, s_free))
     # Hard-constrained kinds start inside their subspace.
-    lam = np.zeros(s_free.size) if lam0 is None else lam0.packed()[pen.free]
+    k = s_free if lam0 is None else s_free + lam0.packed()[pen.free]
 
-    def objective(x, chol_factor):
-        # Composite objective at L = x, given the Cholesky factor of S^-1 + x.
-        return -_log_det_of_factor(chol_factor) + float(np.dot(t_w, x)) + pen.value(x)
+    def objective(x, magnitude, chol_factor):
+        # Composite objective at K = x, given |x| and the Cholesky factor of x.
+        return (-_log_det_of_factor(chol_factor) + float(np.dot(t_w, x))
+                + float(np.dot(pen.weight, magnitude)))
 
     def gradient(chol_factor):
-        # Free entries of (S^-1 + L)^-1 and the free-variable gradient.
+        # Free entries of K^-1 and the free-variable gradient.
         inv = _packed_inverse(chol_factor, mask)
         return inv, t_w - weight * inv
 
-    factor = _chol_or_none(dim, s_free + lam, base, mask)
+    factor = _chol_or_none(dim, k, base, mask)
     if factor is None:
         raise ValueError("initial multiplier is infeasible")
 
-    f_total = objective(lam, factor)
-    trace = [f_total]
+    f_total = objective(k, np.abs(k), factor)
+    trace = [f_total - offset]
 
     step = _STEP_INIT
     converged = False
@@ -363,19 +361,19 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
     inv, w = gradient(factor)
     for iterations in range(1, cfg.max_iters + 1):
         while step >= _STEP_FLOOR:
-            cand = pen.prox(lam - step * w, step)
-            cand_factor = _chol_or_none(dim, s_free + cand, base, mask)
+            cand, magnitude = pen.prox(k - step * w, step)
+            cand_factor = _chol_or_none(dim, cand, base, mask)
             if cand_factor is not None:
-                delta = cand - lam
+                delta = cand - k
                 decrease = _ARMIJO_CONST * float(np.dot(delta, delta)) / step
-                f_cand = objective(cand, cand_factor)
+                f_cand = objective(cand, magnitude, cand_factor)
                 if f_cand <= f_total - decrease:
                     cand_grad = gradient(cand_factor)
                     break
                 # Near the optimum the true decrease drops below the
                 # objective's floating-point resolution and the comparison
                 # above stalls. Certify it instead by convexity, f(cand) -
-                # f(lam) <= <grad f(cand), delta>, and by the prox's
+                # f(k) <= <grad f(cand), delta>, and by the prox's
                 # subgradient -delta/step - w at cand, which bounds the
                 # penalty change by <-delta/step - w, delta>: no large terms
                 # cancel. A tight no-increase guard on the computed value
@@ -390,24 +388,24 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
         else:
             raise RuntimeError(
                 "no feasible descent step found; inputs are pathological")
-        lam, f_total, factor = cand, f_cand, cand_factor
-        trace.append(f_total)
+        k, f_total, factor = cand, f_cand, cand_factor
+        trace.append(f_total - offset)
         probe = step
         step = _bb_step(delta, cand_grad[1] - w)
         # Fixed-point residual at the new iterate, with its own gradient:
         # the step-normalized distance to one more prox-gradient step.
         inv, w = cand_grad
-        move = pen.prox(lam - probe * w, probe) - lam
+        move = pen.prox(k - probe * w, probe)[0] - k
         if probe < _STEP_INIT and not move.any():
-            # At a tiny step lam - step * w can round back to lam; the
+            # At a tiny step k - step * w can round back to k; the
             # residual is zero only at the optimum, whatever the step.
             probe = _STEP_INIT
-            move = pen.prox(lam - probe * w, probe) - lam
+            move = pen.prox(k - probe * w, probe)[0] - k
         residual = np.sqrt(float(np.dot(move, move))) / probe
         if residual <= cfg.grad_tol:
             converged = True
             break
-        if f_total < _OBJECTIVE_FLOOR:
+        if trace[-1] < _OBJECTIVE_FLOOR:
             # No test of boundedness: -log det diverges only
             # logarithmically, so an unbounded fit never gets here and runs
             # to max_iters, while a bounded fit with a large objective (a
@@ -418,13 +416,13 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
         elif iterations - best_iteration >= _STALL_ITERS:
             break
 
-    lam_packed = np.zeros(s_inv.size)
-    lam_packed[pen.free] = lam
-    # Exact form of the estimated precision: structural zeros survive.
-    k_opt = s_inv + lam_packed
+    # K as iterated: zeros survive, and a zeroed free entry gives L = -S^-1.
+    k_opt = s_inv.copy()
+    k_opt[pen.free] = k
+    lam = k_opt - s_inv
     k_scale = float(np.max(np.abs(k_opt)))
     result = SolveResult(
-        lambda_opt=SymmetricMatrix(dim, lam_packed),
+        lambda_opt=SymmetricMatrix(dim, lam),
         t_opt=SymmetricMatrix(dim, _packed_inverse(factor)),
         objective_trace=trace,
         iterations=iterations,
@@ -434,7 +432,7 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
     )
     if penalty.kind == "known":
         # w is the free gradient at the returned L.
-        result.duality_gap = float(np.dot(w, lam))
+        result.duality_gap = float(np.dot(w, lam[pen.free]))
         diff = inv - t_hat.packed()[pen.free]
         result.constraint_residual = float(np.sqrt(np.dot(weight * diff, diff)))
     return result

@@ -343,7 +343,7 @@ def _packed_inverse(factor: np.ndarray, mask=None) -> np.ndarray:
 
 def _log_det_of_factor(factor: np.ndarray) -> float:
     """log det(L L^T) from the lower Cholesky factor L."""
-    return 2.0 * float(np.sum(np.log(np.diag(factor))))
+    return 2.0 * float(np.log(factor.diagonal()).sum())
 
 
 def log_det(a: SymmetricMatrix) -> float:

@@ -18,6 +18,7 @@ from ggmlink import (
     score_matrix,
     threshold_support,
 )
+from ggmlink.predict import _top_k
 from conftest import random_pd
 
 
@@ -313,6 +314,14 @@ def loop_nlp_reversed_baseline(prior, k):
     return predicted, loop_tie(ranked, k)
 
 
+def pairs_top_k(prior, pool, k, descending):
+    """The pairs-based ranking of _top_k: list the pool's pairs, rank them by
+    the prior's common-neighbors count with lexicographic tie order."""
+    cn = loop_common_neighbors(prior)
+    ranked = loop_ranked([(p, cn[p]) for p in pool.pairs()], reverse=descending)
+    return SupportPattern(prior.dim, [p for p, _ in ranked[:k]]), loop_tie(ranked, k)
+
+
 def loop_evaluate(predicted, truth):
     pred_edges = set(predicted.off_diagonal())
     true_edges = set(truth.off_diagonal())
@@ -387,6 +396,16 @@ class TestArrayFormsMatchLoops:
         assert report.predicted_support == predicted
         assert report.ties == ties
         assert_report_json_ready(report)
+
+    @settings(max_examples=100)
+    @given(graphs(), st.integers(0, 1000), st.booleans())
+    def test_top_k(self, case, k_seed, descending):
+        # Any off-diagonal pool, not only the ones the baselines pass.
+        prior, other = case
+        pool = other.minus(SupportPattern.diagonal(prior.dim))
+        k = k_seed % (len(pool) + 1)
+        assert _top_k(prior, pool, k, descending) \
+            == pairs_top_k(prior, pool, k, descending)
 
     @settings(max_examples=100)
     @given(graphs())

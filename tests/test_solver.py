@@ -29,9 +29,10 @@ from ggmlink import (
     solve_known_support,
     support_of,
 )
+from ggmlink import solver as solver_module
 from ggmlink.solver import (_BB_STEP_MAX, _BB_STEP_MIN, _STEP_INIT, _Penalty,
                             _bb_step, _prox)
-from ggmlink.symmat import _tril_of
+from ggmlink.symmat import _chol_or_none, _tril_of
 from conftest import make_instance, random_pd, random_symmetric
 
 TRACE_SLACK = 1e-10
@@ -429,14 +430,24 @@ class TestSolvePenalized:
         assert not res.converged
         assert res.iterations < 1000
 
-    def test_iteration_budget(self):
-        # Barzilai-Borwein trial steps take 73/39/54 iterations here; a
-        # trial step that only doubles up to 1 takes 197/129/151.
+    def test_iteration_budget(self, monkeypatch):
+        # Short Barzilai-Borwein trial steps take 72/37/59 iterations and
+        # 88/42/66 Cholesky factorizations here; long ones took 73/39/54
+        # and 113/57/81, and a trial step that only doubles up to 1 takes
+        # 197/129/151 iterations.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return _chol_or_none(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "_chol_or_none", counting)
         prior, truth, t_hat = make_instance(7, dim=30, density=0.1, n_obs=120)
         results = [solve(prior, t_hat, pen) for pen in (
             PenaltySpec.plp(0.1), PenaltySpec.nlp(0.3), PenaltySpec.mixed(0.1, 0.3))]
         assert all(res.converged for res in results)
         assert sum(res.iterations for res in results) <= 250
+        assert len(calls) <= 196
 
     @pytest.mark.parametrize("grad_tol", [1e-12, 1e-16])
     def test_rounded_away_move_is_not_convergence(self, grad_tol):
@@ -565,29 +576,10 @@ class TestBruteForceEquivalence:
                 SupportPattern(dim, [(1, 1), (2, 2), (3, 3), (2, 1)]))
         res = solve(prior, t_hat, pen, SolverConfig(grad_tol=1e-10))
         s_inv_arr = prior.precision.to_array()
-        prior_mask = prior.precision_support.mask()
-        omega = pen.omega.mask() if pen.kind == "known" else None
-
-        def penalty_value(lam_arr):
-            # sum_{i>j} W_ij |L_ij + A_ij| from the problem statement, with
-            # A = S^-1 on the prior support; infinite off the fixed set.
-            total = 0.0
-            for i in range(dim):
-                for j in range(i + 1):
-                    exp = expected_entry(pen, i == j, bool(prior_mask[i, j]),
-                                         omega is not None and omega[i, j],
-                                         s_inv_arr[i, j], 1.0)
-                    if exp is None:
-                        if lam_arr[i, j] != 0.0:
-                            return np.inf
-                        continue
-                    anchor, weight = exp
-                    total += weight * abs(lam_arr[i, j] + anchor)
-            return total
 
         def fobj(x):
             lam_arr = unpack(x)
-            value = penalty_value(lam_arr)
+            value = problem_penalty(pen, prior, lam_arr)
             if value == np.inf:
                 return np.inf
             m_arr = s_inv_arr + lam_arr
@@ -605,6 +597,63 @@ class TestBruteForceEquivalence:
                / np.linalg.norm(res.t_opt.to_array()))
         assert rel < 1e-3
         assert res.objective_trace[-1] <= f_star + 1e-8
+
+
+def problem_penalty(spec, prior, lam_arr):
+    """sum_{i>j} W_ij |L_ij + A_ij| of a full array L from the problem
+    statement, with A = S^-1 on the prior support; infinite off the fixed
+    set."""
+    s_inv_arr = prior.precision.to_array()
+    prior_mask = prior.precision_support.mask()
+    omega = spec.omega.mask() if spec.kind == "known" else None
+    total = 0.0
+    for i in range(prior.dim):
+        for j in range(i + 1):
+            exp = expected_entry(spec, i == j, bool(prior_mask[i, j]),
+                                 omega is not None and omega[i, j],
+                                 s_inv_arr[i, j], 1.0)
+            if exp is None:
+                if lam_arr[i, j] != 0.0:
+                    return np.inf
+                continue
+            anchor, weight = exp
+            total += weight * abs(lam_arr[i, j] + anchor)
+    return total
+
+
+class TestKSpaceBookkeeping:
+    """The solver iterates on K = S^-1 + L; what it reports is in L."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("seed", [47, 48, 49])
+    def test_trace_is_the_objective_in_l(self, kind, seed):
+        prior, truth, t_hat = make_instance(seed, dim=6, density=0.4, n_obs=300)
+        spec = (PenaltySpec.known_support(truth.precision_support) if kind == "known"
+                else PenaltySpec.from_gamma(kind, (0.1, 0.2) if kind == "mixed" else 0.15))
+        free = {"known": truth.precision_support,
+                "nlp": prior.precision_support}.get(kind)
+        lam0 = random_feasible_start(prior.precision, seed, support=free)
+        res = solve(prior, t_hat, spec, SolverConfig(max_iters=1), lam0=lam0)
+        for lam, reported in ((lam0, res.objective_trace[0]),
+                              (res.lambda_opt, res.objective_trace[-1])):
+            want = (dual_smooth_value(lam, prior.precision, t_hat)
+                    + problem_penalty(spec, prior, lam.to_array()))
+            assert reported == pytest.approx(want, rel=1e-12)
+        # The identity that lets the anchor go: |L + A| = |K| where W > 0.
+        pen = _Penalty(spec, prior.precision_support)
+        k = (prior.precision + res.lambda_opt).packed()[pen.free]
+        assert float(np.dot(pen.weight, np.abs(k))) == pytest.approx(
+            problem_penalty(spec, prior, res.lambda_opt.to_array()), rel=1e-12)
+
+    def test_nlp_zeroed_entries_give_minus_prior(self):
+        prior, truth, t_hat = make_instance(32, dim=8, density=0.3, n_add=0,
+                                            n_remove=2, n_obs=500)
+        res = solve(prior, t_hat, PenaltySpec.nlp(0.3))
+        zeroed = (prior.precision_support.packed() & ~_tril_of(np.eye(8, dtype=bool))
+                  & ~res.support_estimate_raw.packed())
+        assert zeroed.any()
+        np.testing.assert_array_equal(res.lambda_opt.packed()[zeroed],
+                                      -prior.precision.packed()[zeroed])
 
 
 @st.composite
@@ -648,12 +697,11 @@ def unpack(packed):
 
 
 def penalty_prox(spec, prior, s_inv, v, t):
-    """Full symmetric array of the solver's prox of ``v``: _Penalty maps the
-    free entries, and the fixed entries are 0."""
-    penalty = _Penalty(spec, SupportPattern.from_mask(prior), _tril_of(s_inv))
-    out = np.zeros(penalty.free.size)
-    out[penalty.free] = penalty.prox(_tril_of(v)[penalty.free], t)
-    return unpack(out)
+    """Full symmetric array of the prox of ``v`` in L: _Penalty's prox in K
+    on the free entries, shifted by the anchor, and 0 on the fixed ones."""
+    return _prox(SymmetricMatrix.from_array(v, tol=0.0), t, spec,
+                 SymmetricMatrix.from_array(s_inv, tol=0.0),
+                 SupportPattern.from_mask(prior)).to_array()
 
 
 def expected_entry(spec, diagonal, inside, in_omega, s, t):
@@ -694,10 +742,12 @@ class TestPenaltyCoreProperties:
     @settings(max_examples=100)
     @given(prox_cases())
     def test_fixed_entries_exactly_zero(self, case):
-        # The public maps return _Penalty's prox on the free entries and
-        # exactly 0 on the fixed ones; `known` has only the private one.
+        # The public maps return _Penalty's prox in K on the free entries,
+        # shifted by the anchor A (S^-1 on the weighted prior entries, else
+        # 0), and exactly 0 on the fixed ones; `known` has only the private
+        # one.
         spec, prior, omega, s_inv, v, t = case
-        penalty = _Penalty(spec, SupportPattern.from_mask(prior), _tril_of(s_inv))
+        penalty = _Penalty(spec, SupportPattern.from_mask(prior))
         lam = SymmetricMatrix.from_array(v, tol=0.0)
         s = SymmetricMatrix.from_array(s_inv, tol=0.0)
         pattern = SupportPattern.from_mask(prior)
@@ -708,8 +758,11 @@ class TestPenaltyCoreProperties:
             "mixed": lambda: prox_mixed(lam, t, spec.eta_p, spec.eta_n, s, pattern),
         }[spec.kind]().packed()
         assert np.all(public[~penalty.free] == 0.0)
-        np.testing.assert_array_equal(
-            public[penalty.free], penalty.prox(lam.packed()[penalty.free], t))
+        anchor = np.where(_tril_of(prior)[penalty.free] & (penalty.weight > 0.0),
+                          _tril_of(s_inv)[penalty.free], 0.0)
+        shifted, magnitude = penalty.prox(lam.packed()[penalty.free] + anchor, t)
+        np.testing.assert_array_equal(magnitude, np.abs(shifted))
+        np.testing.assert_array_equal(public[penalty.free], shifted - anchor)
 
     @settings(max_examples=100)
     @given(prox_cases())
@@ -822,6 +875,10 @@ class TestBarzilaiBorweinStep:
         assert _BB_STEP_MIN <= step <= _BB_STEP_MAX
         if not 0.0 < curvature < np.inf:
             assert step == _STEP_INIT
+
+    def test_short_step(self):
+        # <dx, dg> / <dg, dg>; the long step <dx, dx> / <dx, dg> would be 1.
+        assert _bb_step(np.array([1.0, 0.0]), np.array([1.0, 1.0])) == 0.5
 
     def test_quadratic_curvature(self):
         # On f = 0.5 * c * ||x||^2 the gradient change is c * dx, so the
