@@ -10,6 +10,7 @@ unordered pair, read back canonically with i >= j.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 
 import numpy as np
@@ -377,13 +378,18 @@ def support_of(a: SymmetricMatrix, zero_tol: float) -> SupportPattern:
 # Support file: first line m, then one "i j" pair per line.
 # Lines starting with '#' are comments and skipped on read.
 
-def _data_lines(path, kind: str) -> tuple:
-    """The dimension on the first data line, and the data lines after it."""
+@contextlib.contextmanager
+def _data_lines(path, kind: str):
+    """The dimension on the first data line and the data lines after it; a
+    ValueError raised in the block names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
-        raise ValueError(f"{path}: empty {kind} file")
-    return int(lines[0]), lines[1:]
+    try:
+        if not lines:
+            raise ValueError(f"empty {kind} file")
+        yield int(lines[0]), lines[1:]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _support_json(omega: SupportPattern) -> dict:
@@ -403,13 +409,13 @@ def write_matrix(a: SymmetricMatrix, path, header: str | None = None) -> None:
 
 
 def read_matrix(path) -> SymmetricMatrix:
-    dim, lines = _data_lines(path, "matrix")
-    if len(lines) != dim:
-        raise ValueError(f"{path}: expected {dim} rows, found {len(lines)}")
-    arr = np.array([[float(tok) for tok in ln.split()] for ln in lines], dtype=np.float64)
-    if arr.shape != (dim, dim):
-        raise ValueError(f"{path}: malformed rows for dim {dim}")
-    return SymmetricMatrix.from_array(arr)
+    with _data_lines(path, "matrix") as (dim, lines):
+        if len(lines) != dim:
+            raise ValueError(f"expected {dim} rows, found {len(lines)}")
+        arr = np.array([[float(tok) for tok in ln.split()] for ln in lines], dtype=np.float64)
+        if arr.shape != (dim, dim):
+            raise ValueError(f"malformed rows for dim {dim}")
+        return SymmetricMatrix.from_array(arr)
 
 
 def write_support(omega: SupportPattern, path, header: str | None = None) -> None:
@@ -417,11 +423,11 @@ def write_support(omega: SupportPattern, path, header: str | None = None) -> Non
 
 
 def read_support(path) -> SupportPattern:
-    dim, lines = _data_lines(path, "support")
-    pairs = []
-    for ln in lines:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}: bad support line {ln!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
-    return SupportPattern(dim, pairs)
+    with _data_lines(path, "support") as (dim, lines):
+        pairs = []
+        for ln in lines:
+            parts = ln.split()
+            if len(parts) != 2:
+                raise ValueError(f"bad support line {ln!r}")
+            pairs.append((int(parts[0]), int(parts[1])))
+        return SupportPattern(dim, pairs)

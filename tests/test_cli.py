@@ -377,6 +377,46 @@ class TestModelFiles:
                        " from the nonzeros of true_precision.txt"]
 
 
+def edit_data_line(path, index, edit):
+    """Rewrite data line ``index`` (0 is the dimension) of a matrix or
+    support file through ``edit``."""
+    lines = path.read_text().splitlines()
+    data = [i for i, ln in enumerate(lines) if ln.strip() and not ln.startswith("#")]
+    lines[data[index]] = edit(lines[data[index]])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def replace_token(position, token):
+    def edit(line):
+        tokens = line.split()
+        tokens[position] = token
+        return " ".join(tokens)
+    return edit
+
+
+class TestMalformedFiles:
+    """Each parse error of a scenario file fails with one line naming it."""
+
+    @pytest.mark.parametrize("name, index, edit, reason", [
+        ("prior_precision.txt", 0, lambda ln: "ten", "'ten'"),
+        ("prior_precision.txt", 3, replace_token(4, "abc"), "'abc'"),
+        ("prior_precision.txt", 2, replace_token(0, "0.5"), "not symmetric"),
+        ("prior_support.txt", 2, lambda ln: "2 one", "'one'"),
+        ("prior_support.txt", 2, lambda ln: "11 1", "pair (11, 1) out of range"),
+    ])
+    def test_fit_names_the_file(self, tmp_path, capsys, name, index, edit, reason):
+        _, scen = desk_scenario(tmp_path)
+        edit_data_line(scen / name, index, edit)
+        capsys.readouterr()
+        assert main(["fit", str(scen), "--penalty", "plp",
+                     "--gamma", "0.1"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {scen / name}: ")
+        assert reason in err[0]
+        assert not list(scen.glob("fit_*"))
+
+
 class TestBaselines:
     def test_k_defaults_from_truth(self, scenario_dir, tmp_path):
         reports = cmd_baselines(scenario_dir, out_dir=tmp_path / "base")
