@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .symmat import (
     SupportPattern,
@@ -20,6 +21,7 @@ from .symmat import (
     _packed_diagonal,
     _packed_inverse,
     _support_json,
+    _tril_of,
     support_of,
 )
 
@@ -111,11 +113,13 @@ def threshold_support(r: ScoreMatrix, t_r: float) -> SupportPattern:
 def common_neighbors(support: SupportPattern) -> SymmetricMatrix:
     """Count of shared neighbors per pair, from the off-diagonal graph of
     ``support``; the diagonal is zeroed (self-pairs are not scored)."""
-    adj = support.mask().astype(np.float64)
-    np.fill_diagonal(adj, 0.0)
-    counts = adj @ adj
+    adj = support.mask()
+    np.fill_diagonal(adj, False)
+    # Priors are sparse graphs; a dense product would cost dim^3.
+    adj = sparse.csr_array(adj, dtype=np.float64)
+    counts = (adj @ adj).toarray()
     np.fill_diagonal(counts, 0.0)
-    return SymmetricMatrix.from_array(counts)
+    return SymmetricMatrix(support.dim, _tril_of(counts))
 
 
 def _top_k(prior_support: SupportPattern, pool: SupportPattern, k: int,

@@ -26,6 +26,16 @@ variable stands for two full-matrix entries, so tr(T_hat K) and the smooth
 gradient 2 (T_hat - K^-1)_ij share one weight, 2 off the diagonal and 1 on it:
 the only place off-diagonals double. The penalty, the prox threshold t*gamma
 and step norms count each variable once. KKT checks must use this convention.
+
+Metric: solve scales each prox-gradient step by d, the exact Hessian diagonal
+of -log det K on the free variables. With W = K^-1 the second derivative
+tr(W E W E) along a diagonal variable (E = E_ii) is W_ii^2, and along an
+off-diagonal one (E = E_ij + E_ji) it is 2 (W_ii W_jj + W_ij^2). Both are
+(W_ii W_jj + W_ij^2) * omega^2 / 2 with the pair weight omega, 1 or 2: the
+curvature is quadratic in the variable's weight, and the 1/2 makes the
+diagonal case the square W_ii^2 (omega alone would double it). d comes from
+the inverse that each accepted iterate forms anyway, and a diagonal entry
+of W is read even where the support fixes it.
 """
 
 from __future__ import annotations
@@ -38,8 +48,8 @@ from scipy.linalg import blas
 
 from .ggm import GaussianModel
 from .symmat import (SupportPattern, SymmetricMatrix, _chol_or_none, _factor_or_raise,
-                     _free_layout, _log_det_of_factor, _packed_diagonal, _packed_inverse,
-                     _pair_weight, _support_json, _trace_inner, support_of)
+                     _free_layout, _log_det_of_factor, _lower_inverse, _packed_diagonal,
+                     _packed_inverse, _pair_weight, _support_json, _trace_inner, support_of)
 
 # Line search. The problem has one optimum, so these set how fast a fit
 # gets there, not where it ends.
@@ -53,7 +63,7 @@ _BB_STEP_MAX = 1e6
 # A fit whose residual has not reached a new minimum for this many
 # iterations stops, flagged as not converged: its grad_tol is below what the
 # computed objective can resolve. Converging fits set a new first-trial
-# minimum at least every 6 iterations on desk-sweep and every 3 on scale-fit.
+# minimum at least every 9 iterations on desk-sweep and every 2 on scale-fit.
 _STALL_ITERS = 500
 # The support estimate keeps |K_ij| above this share of max |K|.
 _SUPPORT_REL_TOL = 1e-8
@@ -216,9 +226,10 @@ class _Penalty:
             prior, spec.gamma_n or spec.eta_n or 0.0, spec.gamma_p or spec.eta_p or 0.0)
         self.weight = weight[self.free]
 
-    def prox(self, x: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
-        """Overwrite x with y = argmin_y 0.5 ||y - x||^2 / step + penalty(y),
-        a weighted soft threshold; return y and |y|."""
+    def prox(self, x: np.ndarray, step) -> tuple[np.ndarray, np.ndarray]:
+        """Overwrite x with y = argmin_y sum (y - x)^2 / (2 step) + penalty(y),
+        a weighted soft threshold by step * weight, for a scalar step or one
+        per entry; return y and |y|."""
         magnitude = np.abs(x)
         magnitude -= step * self.weight
         np.maximum(magnitude, 0.0, out=magnitude)
@@ -270,16 +281,17 @@ def prox_mixed(lam: SymmetricMatrix, step: float, eta_p: float, eta_n: float,
 # Main solver
 # ---------------------------------------------------------------------------
 
-def _bb_step(delta: np.ndarray, dg: np.ndarray) -> float:
-    """Short Barzilai-Borwein trial step <dx, dg> / <dg, dg> (by Cauchy-Schwarz
-    never longer than the long one, <dx, dx> / <dx, dg>) from the last
-    accepted move dx and the change dg in the free gradient, clipped to
-    [_BB_STEP_MIN, _BB_STEP_MAX]; _STEP_INIT when the curvature <dx, dg> is
-    not positive and finite."""
+def _bb_step(delta: np.ndarray, dg: np.ndarray, metric: np.ndarray) -> float:
+    """Short Barzilai-Borwein trial step <dx, dg> / <dg, dg / d> in the metric
+    d (by Cauchy-Schwarz never longer than the long one, <dx, d dx> / <dx,
+    dg>) from the last accepted move dx and the change dg in the free
+    gradient, clipped to [_BB_STEP_MIN, _BB_STEP_MAX]; _STEP_INIT when the
+    curvature <dx, dg> is not positive and finite. On f = 0.5 x'Dx with
+    d = diag D it is 1."""
     curvature = float(np.dot(delta, dg))
     if not 0.0 < curvature < np.inf:
         return _STEP_INIT
-    norm = float(np.dot(dg, dg))  # 0 only when it underflows
+    norm = float(np.dot(dg, dg / metric))  # 0 only when it underflows
     step = curvature / norm if norm > 0.0 else _BB_STEP_MAX
     return min(max(step, _BB_STEP_MIN), _BB_STEP_MAX)
 
@@ -306,14 +318,20 @@ def random_feasible_start(s_inv: SymmetricMatrix, seed: int,
 def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
           cfg: SolverConfig = SolverConfig(),
           lam0: SymmetricMatrix | None = None) -> SolveResult:
-    """Proximal-gradient descent on the penalized dual functional (G-ISTA).
+    """Proximal-gradient descent on the penalized dual functional (G-ISTA)
+    in a diagonal metric.
 
-    Iterates on K (module docstring). Each line search starts from the short
-    Barzilai-Borwein step of the last move. Its first trial's step-normalized
-    move (lower-triangle norm) is the fixed-point residual at the iterate;
-    the fit converges, without factoring that trial, once it is at most
-    cfg.grad_tol. Backtracking rejects candidates that fail the Cholesky
-    test and enforces sufficient decrease of the composite objective. A fit
+    Iterates on K (module docstring). A trial at step t moves each free
+    entry by the prox of the gradient step t / d_e, with d the Hessian
+    diagonal at the iterate (module docstring), so t = 1 is the Newton step
+    of a separable model. Each line search starts from the short
+    Barzilai-Borwein step of the last move in that metric. Its first trial's
+    move delta gives the fixed-point residual ||d * delta|| / t (lower-
+    triangle norm), in gradient units like cfg.grad_tol; the fit converges,
+    without factoring that trial, once it is at most cfg.grad_tol.
+    Backtracking rejects candidates that fail the Cholesky test and
+    enforces sufficient decrease <delta, d * delta> / t of the composite
+    objective. A move that rounds back to K is accepted unfactored. A fit
     that makes max_iters moves, or whose residual stops improving, is
     flagged as not converged, not raised.
     """
@@ -327,9 +345,11 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
     s_inv = model.precision.packed()
     pen = _Penalty(penalty, model.precision_support)
     base, mask = _free_layout(s_inv, pen.free)
+    rows, cols = np.nonzero(mask)  # in packed order, as mask gathers
     s_free = s_inv[pen.free]
     # One weight for tr(T_hat X) = t_w . x and for the gradient (docstring).
     weight = _pair_weight(dim)[pen.free]
+    curvature_weight = 0.5 * weight * weight
     t_w = weight * t_hat.packed()[pen.free]
     # The trace reports the objective in L, the one in K less t_w . s_free.
     offset = float(np.dot(t_w, s_free))
@@ -342,9 +362,12 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
                 + float(np.dot(pen.weight, magnitude)))
 
     def gradient(chol_factor):
-        # Free entries of K^-1 and the free-variable gradient.
-        inv = _packed_inverse(chol_factor, mask)
-        return inv, t_w - weight * inv
+        # Free entries of W = K^-1, the free-variable gradient and the metric:
+        # the Hessian diagonal of -log det K on the free entries (docstring).
+        full = _lower_inverse(chol_factor)
+        inv, diag = full[mask], full.diagonal()
+        metric = curvature_weight * (diag[rows] * diag[cols] + inv * inv)
+        return inv, t_w - weight * inv, metric
 
     factor = _chol_or_none(dim, k, base, mask)
     if factor is None:
@@ -357,15 +380,16 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
     converged = False
     best_residual, best_iteration = np.inf, 0
 
-    inv, w = gradient(factor)
+    inv, w, metric = gradient(factor)
     for iterations in range(cfg.max_iters + 1):
-        # A zero move at a step below 1 (k - step * w rounded back to k) is
-        # no convergence: the search accepts it, and its zero curvature sets
-        # the next step to 1. dnrm2 cannot overflow.
-        cand, magnitude = pen.prox(k - step * w, step)
+        # A zero move at a step below 1 (k - scale * w rounded back to k) is
+        # no convergence. dnrm2 cannot overflow.
+        scale = step / metric
+        cand, magnitude = pen.prox(k - scale * w, scale)
         delta = cand - k
+        metric_delta = metric * delta
         if step >= _STEP_INIT or delta.any():
-            residual = float(blas.dnrm2(delta)) / step
+            residual = float(blas.dnrm2(metric_delta)) / step
             if residual <= cfg.grad_tol:
                 converged = True
                 break
@@ -375,10 +399,10 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
                 break
         if iterations == cfg.max_iters:
             break
-        while True:
+        while delta.any():
             cand_factor = _chol_or_none(dim, cand, base, mask)
             if cand_factor is not None:
-                decrease = _ARMIJO_CONST * float(np.dot(delta, delta)) / step
+                decrease = _ARMIJO_CONST * float(np.dot(delta, metric_delta)) / step
                 f_cand = objective(cand, magnitude, cand_factor)
                 if f_cand <= f_total - decrease:
                     cand_grad = gradient(cand_factor)
@@ -387,26 +411,35 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
                 # objective's floating-point resolution and the comparison
                 # above stalls. Certify it instead by convexity, f(cand) -
                 # f(k) <= <grad f(cand), delta>, and by the prox's
-                # subgradient -delta/step - w at cand, which bounds the
-                # penalty change by <-delta/step - w, delta>: no large terms
-                # cancel. A tight no-increase guard on the computed value
-                # goes first, as it needs no inverse.
+                # subgradient -d*delta/step - w at cand, which bounds the
+                # penalty change by <-d*delta/step - w, delta>: no large
+                # terms cancel. A tight no-increase guard on the computed
+                # value goes first, as it needs no inverse.
                 if f_cand <= f_total + 256 * np.finfo(float).eps * (1.0 + abs(f_total)):
                     cand_grad = gradient(cand_factor)
                     certified = (float(np.dot(cand_grad[1] - w, delta))
-                                 - float(np.dot(delta, delta)) / step)
+                                 - float(np.dot(delta, metric_delta)) / step)
                     if certified <= -decrease:
                         break
             step *= _BACKTRACK_FACTOR
             if step < _STEP_FLOOR:
                 raise RuntimeError(
                     "no feasible descent step found; inputs are pathological")
-            cand, magnitude = pen.prox(k - step * w, step)
+            scale = step / metric
+            cand, magnitude = pen.prox(k - scale * w, scale)
             delta = cand - k
+            metric_delta = metric * delta
+        else:
+            # A zero move (step below 1) leaves K, its factor and its
+            # gradient as they are: accept it unfactored, and start the next
+            # search at step 1, as the zero curvature of the move would.
+            trace.append(trace[-1])
+            step = _STEP_INIT
+            continue
         k, f_total, factor = cand, f_cand, cand_factor
         trace.append(f_total - offset)
-        step = _bb_step(delta, cand_grad[1] - w)
-        inv, w = cand_grad
+        step = _bb_step(delta, cand_grad[1] - w, cand_grad[2])
+        inv, w, metric = cand_grad
 
     # K as iterated: zeros survive, and a zeroed free entry gives L = -S^-1.
     k_opt = s_inv.copy()

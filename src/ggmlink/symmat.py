@@ -296,8 +296,9 @@ def _chol_or_none(dim: int, packed: np.ndarray, base=None, mask=None):
 
 
 def _free_layout(base: np.ndarray, free: np.ndarray):
-    """(base, mask) of _chol_or_none and _packed_inverse for triangles equal to
-    ``base`` off the packed mask ``free``: a full boolean mask keeps packed order."""
+    """(base, mask) of _chol_or_none for triangles equal to ``base`` off the
+    packed mask ``free``; the mask gathers their free entries from a full
+    array, such as _lower_inverse's, in packed order."""
     dim = int(np.sqrt(2 * free.size))  # the size is dim (dim + 1) / 2
     full, mask = np.zeros((dim, dim), order="F"), np.zeros((dim, dim), dtype=bool)
     full[_lower_mask(dim)], mask[_lower_mask(dim)] = base, free
@@ -332,14 +333,18 @@ def _invert_lower(block: np.ndarray) -> None:
     block[k:, :k] = blas.dtrmm(-1.0, block[k:, k:], b, lower=1, overwrite_b=1)
 
 
-def _packed_inverse(factor: np.ndarray, mask=None) -> np.ndarray:
-    """Packed inverse of L L^T from its lower Cholesky factor L, or its free
-    entries given the ``mask`` of _free_layout."""
+def _lower_inverse(factor: np.ndarray) -> np.ndarray:
+    """The lower triangle of (L L^T)^-1, in a full array, from the lower
+    Cholesky factor L."""
     inv = np.array(factor, order="F")
     _invert_lower(inv)
     # As in potri, lauum forms L^-T L^-1; it fails only on invalid arguments.
-    inv, _ = lapack.dlauum(inv, lower=1, overwrite_c=1)
-    return inv[_lower_mask(len(inv)) if mask is None else mask]
+    return lapack.dlauum(inv, lower=1, overwrite_c=1)[0]
+
+
+def _packed_inverse(factor: np.ndarray) -> np.ndarray:
+    """Packed inverse of L L^T from its lower Cholesky factor L."""
+    return _tril_of(_lower_inverse(factor))
 
 
 def _log_det_of_factor(factor: np.ndarray) -> float:

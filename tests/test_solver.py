@@ -430,11 +430,28 @@ class TestSolvePenalized:
         assert not res.converged
         assert res.iterations < 1000
 
+    def test_zero_moves_are_not_factored(self, monkeypatch):
+        # On the stalling fit above many first trials round back to K. They
+        # are accepted without a factorization: 550 Cholesky calls for 544
+        # iterations, against 1043 when each zero move is factored.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return _chol_or_none(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "_chol_or_none", counting)
+        prior, truth, t_hat = make_instance(703374, dim=5, density=0.4, n_obs=300)
+        res = solve(prior, t_hat, PenaltySpec.nlp(0.2), SolverConfig(grad_tol=1e-16))
+        assert not res.converged
+        assert len(calls) <= 600
+
     def test_iteration_budget(self, monkeypatch):
-        # Short Barzilai-Borwein trial steps take 72/37/59 iterations and
-        # 88/42/66 Cholesky factorizations here; long ones took 73/39/54
-        # and 113/57/81, and a trial step that only doubles up to 1 takes
-        # 197/129/151 iterations.
+        # Steps scaled by the Hessian diagonal take 54/11/18 iterations and
+        # 59/12/21 Cholesky factorizations here. A scalar short
+        # Barzilai-Borwein step (d = 1) took 72/37/59 and 88/42/66, a long
+        # one 73/39/54 and 113/57/81, and a trial step that only doubles up
+        # to 1 takes 197/129/151 iterations.
         calls = []
 
         def counting(*args, **kwargs):
@@ -446,8 +463,21 @@ class TestSolvePenalized:
         results = [solve(prior, t_hat, pen) for pen in (
             PenaltySpec.plp(0.1), PenaltySpec.nlp(0.3), PenaltySpec.mixed(0.1, 0.3))]
         assert all(res.converged for res in results)
-        assert sum(res.iterations for res in results) <= 250
-        assert len(calls) <= 196
+        assert sum(res.iterations for res in results) <= 95
+        assert len(calls) <= 105
+
+    def test_scaled_fit_converges(self):
+        # Prior precision / c, c T_hat and c gamma at c = 1e3. The gradient
+        # scales with c and the metric with c^2, so a step moves K by the
+        # same share at any c. 32 iterations here (21 unscaled); with d = 1
+        # the fit took 299.
+        c = 1e3
+        prior, truth, t_hat = make_instance(1, dim=10, density=0.25, n_add=3,
+                                            n_remove=0, n_obs=1000)
+        res = solve(GaussianModel(prior.precision * (1.0 / c)), c * t_hat,
+                    PenaltySpec.plp(c * 0.1))
+        assert res.converged
+        assert res.iterations <= 40
 
     def test_each_trial_costs_one_prox(self, monkeypatch):
         # Each trial is one prox and, unless it ends the fit, one
@@ -896,20 +926,68 @@ class TestBarzilaiBorweinStep:
         delta, dg = pair
         with np.errstate(all="ignore"):
             curvature = float(np.dot(delta, dg))
-            step = _bb_step(delta, dg)
+            step = _bb_step(delta, dg, np.ones_like(delta))
         assert _BB_STEP_MIN <= step <= _BB_STEP_MAX
         if not 0.0 < curvature < np.inf:
             assert step == _STEP_INIT
 
     def test_short_step(self):
         # <dx, dg> / <dg, dg>; the long step <dx, dx> / <dx, dg> would be 1.
-        assert _bb_step(np.array([1.0, 0.0]), np.array([1.0, 1.0])) == 0.5
+        assert _bb_step(np.array([1.0, 0.0]), np.array([1.0, 1.0]), np.ones(2)) == 0.5
 
     def test_quadratic_curvature(self):
         # On f = 0.5 * c * ||x||^2 the gradient change is c * dx, so the
         # step is 1 / c.
         delta = np.array([0.3, -1.2, 2.0])
-        assert _bb_step(delta, 4.0 * delta) == pytest.approx(0.25, rel=1e-15)
+        assert _bb_step(delta, 4.0 * delta, np.ones(3)) == pytest.approx(0.25, rel=1e-15)
+
+    def test_unit_step_in_its_own_metric(self):
+        # On f = 0.5 x'Dx with D diagonal and the metric d = diag D the
+        # gradient change is D dx, so the step is 1 at any curvature spread.
+        d = np.array([1e-3, 2.0, 5e4, 7.0])
+        delta = np.array([0.3, -1.2, 2e-4, 0.5])
+        assert _bb_step(delta, d * delta, d) == pytest.approx(1.0, rel=1e-14)
+
+
+class TestMetric:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_metric_is_the_hessian_diagonal(self, monkeypatch, kind, seed):
+        # The first trial runs at step 1, so its per-entry prox step is 1/d
+        # at the start K. Each d_e must be the second derivative of
+        # -log det K along free packed coordinate e: omega_e times the
+        # central difference of the matrix gradient's entry e.
+        prior, truth, t_hat = make_instance(seed, dim=6, density=0.4)
+        dim, s_inv = 6, prior.precision
+        # A known support may fix a diagonal entry: here (6, 6) is fixed
+        # and (1, 1) free, so d of a free entry also reads a fixed W_66.
+        in_omega = np.random.default_rng(seed).random(s_inv.packed().size) < 0.5
+        in_omega[0], in_omega[-1] = True, False
+        omega = SupportPattern._of_packed(dim, in_omega)
+        spec = {"known": PenaltySpec.known_support(omega), "plp": PenaltySpec.plp(0.1),
+                "nlp": PenaltySpec.nlp(0.2), "mixed": PenaltySpec.mixed(0.1, 0.2)}[kind]
+        free = _Penalty(spec, prior.precision_support).free
+        lam0 = random_feasible_start(s_inv, seed, SupportPattern._of_packed(dim, free))
+        steps = []
+        prox = _Penalty.prox
+
+        def recording(self, x, step):
+            steps.append(np.array(step, dtype=float))
+            return prox(self, x, step)
+
+        monkeypatch.setattr(_Penalty, "prox", recording)
+        solve(prior, t_hat, spec, SolverConfig(max_iters=1), lam0=lam0)
+        metric = 1.0 / steps[0]
+        pair_weight = np.where(_tril_of(np.eye(dim, dtype=bool)), 1.0, 2.0)
+        expected = []
+        for e in np.flatnonzero(free):
+            h = 1e-5
+            bump = np.zeros(s_inv.packed().size)
+            bump[e] = h
+            plus = dual_smooth_gradient(lam0 + SymmetricMatrix(dim, bump), s_inv, t_hat)
+            minus = dual_smooth_gradient(lam0 - SymmetricMatrix(dim, bump), s_inv, t_hat)
+            expected.append(pair_weight[e] * (plus.packed()[e] - minus.packed()[e]) / (2 * h))
+        np.testing.assert_allclose(metric, expected, rtol=1e-6)
 
 
 class TestRandomFeasibleStart:
