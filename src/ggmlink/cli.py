@@ -114,8 +114,12 @@ def load_config(path) -> ExperimentConfig:
     """Parse a JSON experiment config; unknown fields and values of the
     wrong type are rejected."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = _fields(json.load(fh), _CONFIG_TYPES,
-                      ("scenario", "N", "penalty_kind", "seeds"), "config", "")
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # syntax, or a byte that is not UTF-8
+            raise ValueError(f"{path}: {exc}") from None
+    raw = _fields(raw, _CONFIG_TYPES, ("scenario", "N", "penalty_kind", "seeds"),
+                  "config", "")
     scenario = _fields(raw["scenario"], _SCENARIO_TYPES, _SCENARIO_TYPES,
                        "scenario", "scenario.")
     solver_cfg = _fields(raw.get("solver", {}), _SOLVER_TYPES, (),
@@ -193,7 +197,11 @@ def cmd_generate(config: ExperimentConfig, out_dir=None,
 
 def _load_scenario(scenario_dir):
     prior = ggm.load_model(scenario_dir, "prior")
-    obs = ggm.load_observations(os.path.join(scenario_dir, "observations.csv"))
+    obs_path = os.path.join(scenario_dir, "observations.csv")
+    obs = ggm.load_observations(obs_path)
+    if obs.dim != prior.dim:
+        raise ValueError(f"{obs_path}: {obs.dim} columns, but the prior has"
+                         f" dim {prior.dim}")
     truth = None
     if os.path.exists(os.path.join(scenario_dir, "true_support.txt")):
         truth = ggm.load_model(scenario_dir, "true")
@@ -302,7 +310,8 @@ def _sweep_cell(scenario_dir, seed: int, gamma, config: ExperimentConfig,
         "iterations": result.iterations,
         "converged": result.converged,
         "objective_final": result.objective_trace[-1],
-        "predicted_edges": len(prediction.predicted_support.off_diagonal()),
+        "predicted_edges": len(prediction.predicted_support.minus(
+            symmat.SupportPattern.diagonal(prediction.predicted_support.dim))),
     }
 
 
@@ -376,15 +385,16 @@ def cmd_baselines(scenario_dir, k: int | None = None,
     truth = None
     if os.path.exists(os.path.join(scenario_dir, "true_support.txt")):
         truth = ggm.load_support(scenario_dir, "true")
+    diagonal = symmat.SupportPattern.diagonal(prior_support.dim)
     if k is None:
         if truth is None:
             raise ValueError("no truth on disk: supply --k")
-        k_add = len(truth.minus(prior_support).off_diagonal())
-        k_remove = len(prior_support.minus(truth).off_diagonal())
+        k_add = len(truth.minus(prior_support).minus(diagonal))
+        k_remove = len(prior_support.minus(truth).minus(diagonal))
     else:
         # Cap each baseline at its own candidate pool.
-        k_add = min(k, len(prior_support.complement().off_diagonal()))
-        k_remove = min(k, len(prior_support.off_diagonal()))
+        k_add = min(k, len(prior_support.complement().minus(diagonal)))
+        k_remove = min(k, len(prior_support.minus(diagonal)))
 
     cn = predict.plp_baseline(prior_support, k_add)
     reversed_cn = predict.nlp_reversed_baseline(prior_support, k_remove)

@@ -200,24 +200,25 @@ def _dominant_diagonal(arr: np.ndarray) -> np.ndarray:
     return PRECISION_SCALE * off
 
 
+def _draw(rng, pool: SupportPattern, n: int) -> np.ndarray:
+    """n packed positions of ``pool`` drawn without replacement, in packed (sorted
+    pair) order. Drawing none consumes no random state."""
+    index = np.flatnonzero(pool.packed())
+    return index[np.sort(rng.choice(index.size, size=n, replace=False))]
+
+
 def random_model(dim: int, edge_density: float, seed: int) -> GaussianModel:
-    """Random sparse PD precision matrix at the requested off-diagonal edge
-    density, made PD by diagonal dominance; returns the induced model."""
+    """Random sparse PD precision matrix at the requested off-diagonal edge density:
+    the empty graph's model PRECISION_SCALE * I (its structural diagonal is exactly 1,
+    so edge weights are unscaled draws) with that share of the pairs added as edges."""
     if dim < 2:
         raise ValueError("need dim >= 2")
     if not (0.0 < edge_density <= 1.0):
         raise ValueError("edge_density must be in (0, 1]")
-    rng = np.random.default_rng(seed)
-    candidates = SupportPattern.full(dim).off_diagonal()
-    n_edges = int(round(edge_density * len(candidates)))
-    chosen = rng.choice(len(candidates), size=n_edges, replace=False)
-    arr = np.zeros((dim, dim))
-    lo, hi = EDGE_WEIGHT_RANGE
-    for idx in sorted(chosen):
-        i, j = candidates[idx]
-        val = rng.uniform(lo, hi) * (1.0 if rng.uniform() < 0.5 else -1.0)
-        arr[i - 1, j - 1] = arr[j - 1, i - 1] = val
-    return GaussianModel(SymmetricMatrix.from_array(_dominant_diagonal(arr)))
+    n_edges = int(round(edge_density * (dim * (dim - 1) // 2)))
+    empty = GaussianModel(PRECISION_SCALE * SymmetricMatrix.identity(dim))
+    return perturb_model(empty, ScenarioSpec(dim=dim, edge_density=edge_density,
+                                             n_add=n_edges, n_remove=0, seed=seed))
 
 
 def perturb_model(base: GaussianModel, spec: ScenarioSpec) -> GaussianModel:
@@ -226,9 +227,9 @@ def perturb_model(base: GaussianModel, spec: ScenarioSpec) -> GaussianModel:
     inside it; PD restored by the diagonal-dominance repair."""
     if spec.dim != base.dim:
         raise ValueError("scenario dim does not match base model")
-    support = base.precision_support
-    absent = support.complement().off_diagonal()
-    present = support.off_diagonal()
+    diagonal = SupportPattern.diagonal(spec.dim)
+    absent = base.precision_support.complement().minus(diagonal)
+    present = base.precision_support.minus(diagonal)
     if spec.n_add > len(absent):
         raise ValueError(
             f"cannot add {spec.n_add} edges: only {len(absent)} absent pairs")
@@ -239,19 +240,15 @@ def perturb_model(base: GaussianModel, spec: ScenarioSpec) -> GaussianModel:
     # Edit in structural (pre-PRECISION_SCALE) units; the repair restores
     # the diagonal and the scale. The division is bitwise-exact for the
     # binary-power scale, so kept entries survive the round trip.
-    struct = base.precision.to_array() / PRECISION_SCALE
-    scale = float(np.mean(np.diag(struct)))
+    struct = base.precision.packed() / PRECISION_SCALE
+    scale = float(np.mean(struct[diagonal.packed()]))
+    added = _draw(rng, absent, spec.n_add)
     lo, hi = EDGE_WEIGHT_RANGE
-    if spec.n_add:
-        for idx in sorted(rng.choice(len(absent), size=spec.n_add, replace=False)):
-            i, j = absent[idx]
-            val = scale * rng.uniform(lo, hi) * (1.0 if rng.uniform() < 0.5 else -1.0)
-            struct[i - 1, j - 1] = struct[j - 1, i - 1] = val
-    if spec.n_remove:
-        for idx in sorted(rng.choice(len(present), size=spec.n_remove, replace=False)):
-            i, j = present[idx]
-            struct[i - 1, j - 1] = struct[j - 1, i - 1] = 0.0
-    return GaussianModel(SymmetricMatrix.from_array(_dominant_diagonal(struct)))
+    u = rng.random((spec.n_add, 2))  # per edge, the magnitude draw, then the sign draw
+    struct[added] = scale * (lo + (hi - lo) * u[:, 0]) * np.where(u[:, 1] < 0.5, 1, -1)
+    struct[_draw(rng, present, spec.n_remove)] = 0.0
+    full = SymmetricMatrix(spec.dim, struct).to_array()
+    return GaussianModel(SymmetricMatrix.from_array(_dominant_diagonal(full)))
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +301,19 @@ def save_observations(obs: ObservationSet, path) -> None:
 
 
 def load_observations(path) -> ObservationSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    # Empty input is caught here: loadtxt only warns, and silencing that
-    # warning edits the process-wide filters that sweep threads share.
-    # With comments off, any other text parses to rows or raises.
-    if not text.strip():
-        raise ValueError(f"{path}: no observations")
-    samples = np.loadtxt(text.splitlines(), delimiter=",", ndmin=2, comments=None)
-    return ObservationSet(samples=samples)
+    """The samples in the CSV at ``path``; a ValueError names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        # Empty input is caught here: loadtxt only warns, and silencing that
+        # warning edits the process-wide filters that sweep threads share.
+        # With comments off, any other text parses to rows or raises.
+        if not text.strip():
+            raise ValueError("no observations")
+        return ObservationSet(np.loadtxt(text.splitlines(), delimiter=",",
+                                         ndmin=2, comments=None))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_metadata(meta: dict, path) -> None:

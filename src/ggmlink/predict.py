@@ -16,7 +16,6 @@ from scipy import sparse
 from .symmat import (
     SupportPattern,
     SymmetricMatrix,
-    _check_dims,
     _factor_or_raise,
     _packed_diagonal,
     _packed_inverse,
@@ -181,11 +180,11 @@ def evaluate(predicted: SupportPattern, truth: SupportPattern,
              method_name: str = "evaluate") -> PredictionReport:
     """False positives (predicted but absent) and false negatives (present
     but missed), over undirected off-diagonal pairs."""
-    _check_dims(predicted, truth)
+    diagonal = SupportPattern.diagonal(truth.dim)
     return PredictionReport(
         predicted_support=predicted,
         true_support=truth,
-        false_positives=len(predicted.minus(truth).off_diagonal()),
-        false_negatives=len(truth.minus(predicted).off_diagonal()),
+        false_positives=len(predicted.minus(truth).minus(diagonal)),
+        false_negatives=len(truth.minus(predicted).minus(diagonal)),
         method_name=method_name,
     )

@@ -49,7 +49,8 @@ from scipy.linalg import blas
 from .ggm import GaussianModel
 from .symmat import (SupportPattern, SymmetricMatrix, _chol_or_none, _factor_or_raise,
                      _free_layout, _log_det_of_factor, _lower_inverse, _packed_diagonal,
-                     _packed_inverse, _pair_weight, _support_json, _trace_inner, support_of)
+                     _packed_inverse, _pair_weight, _support_json, _trace_inner, _tril_of,
+                     support_of)
 
 # Line search. The problem has one optimum, so these set how fast a fit
 # gets there, not where it ends.
@@ -362,12 +363,12 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
                 + float(np.dot(pen.weight, magnitude)))
 
     def gradient(chol_factor):
-        # Free entries of W = K^-1, the free-variable gradient and the metric:
-        # the Hessian diagonal of -log det K on the free entries (docstring).
+        # W = K^-1 (its lower triangle, in a full array), the free-variable
+        # gradient and the metric, the Hessian diagonal of -log det K (docstring).
         full = _lower_inverse(chol_factor)
         inv, diag = full[mask], full.diagonal()
         metric = curvature_weight * (diag[rows] * diag[cols] + inv * inv)
-        return inv, t_w - weight * inv, metric
+        return full, t_w - weight * inv, metric
 
     factor = _chol_or_none(dim, k, base, mask)
     if factor is None:
@@ -380,7 +381,7 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
     converged = False
     best_residual, best_iteration = np.inf, 0
 
-    inv, w, metric = gradient(factor)
+    full_inv, w, metric = gradient(factor)
     for iterations in range(cfg.max_iters + 1):
         # A zero move at a step below 1 (k - scale * w rounded back to k) is
         # no convergence. dnrm2 cannot overflow.
@@ -436,10 +437,10 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
             trace.append(trace[-1])
             step = _STEP_INIT
             continue
-        k, f_total, factor = cand, f_cand, cand_factor
+        k, f_total = cand, f_cand
         trace.append(f_total - offset)
         step = _bb_step(delta, cand_grad[1] - w, cand_grad[2])
-        inv, w, metric = cand_grad
+        full_inv, w, metric = cand_grad
 
     # K as iterated: zeros survive, and a zeroed free entry gives L = -S^-1.
     k_opt = s_inv.copy()
@@ -448,7 +449,7 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
     k_scale = float(np.max(np.abs(k_opt)))
     result = SolveResult(
         lambda_opt=SymmetricMatrix(dim, lam),
-        t_opt=SymmetricMatrix(dim, _packed_inverse(factor)),
+        t_opt=SymmetricMatrix(dim, _tril_of(full_inv)),
         objective_trace=trace,
         iterations=iterations,
         converged=converged,
@@ -458,7 +459,7 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
     if penalty.kind == "known":
         # w is the free gradient at the returned L.
         result.duality_gap = float(np.dot(w, lam[pen.free]))
-        diff = inv - t_hat.packed()[pen.free]
+        diff = full_inv[mask] - t_hat.packed()[pen.free]
         result.constraint_residual = float(np.sqrt(np.dot(weight * diff, diff)))
     return result
 

@@ -386,10 +386,10 @@ def support_of(a: SymmetricMatrix, zero_tol: float) -> SupportPattern:
 @contextlib.contextmanager
 def _data_lines(path, kind: str):
     """The dimension on the first data line and the data lines after it; a
-    ValueError raised in the block names the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
+    ValueError raised in the block, or in decoding the file, names the file."""
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
         if not lines:
             raise ValueError(f"empty {kind} file")
         yield int(lines[0]), lines[1:]
@@ -420,6 +420,8 @@ def read_matrix(path) -> SymmetricMatrix:
         arr = np.array([[float(tok) for tok in ln.split()] for ln in lines], dtype=np.float64)
         if arr.shape != (dim, dim):
             raise ValueError(f"malformed rows for dim {dim}")
+        if not np.isfinite(arr).all():
+            raise ValueError("non-finite entry")
         return SymmetricMatrix.from_array(arr)
 
 

@@ -213,6 +213,11 @@ class TestSweep:
         rows = out["a"]["rows"]
         assert len(rows) == len(config.seeds) * len(config.gamma_grid)
         assert all(r["e_r"] >= 0 for r in rows)
+        for r in rows:  # edges are off-diagonal pairs
+            predicted = symmat.read_support(
+                tmp_path / "a" / f"seed_{r['seed']}" / f"fit_plp_{r['gamma']}"
+                / "predicted_support.txt")
+            assert r["predicted_edges"] == len(predicted.off_diagonal())
         summary = out["a"]["summary"]
         med = {g: summary["per_gamma"][g]["median_e_r"] for g in summary["per_gamma"]}
         assert summary["best_gamma"] == min(med, key=med.get)
@@ -394,8 +399,17 @@ def replace_token(position, token):
     return edit
 
 
+def append_byte(path):
+    path.write_bytes(path.read_bytes() + b"\xff")
+
+
+def first_columns(count):
+    return lambda line: ",".join(line.split(",")[:count])
+
+
 class TestMalformedFiles:
-    """Each parse error of a scenario file fails with one line naming it."""
+    """Each parse error of a scenario or config file fails with one line
+    naming it."""
 
     @pytest.mark.parametrize("name, index, edit, reason", [
         ("prior_precision.txt", 0, lambda ln: "ten", "'ten'"),
@@ -415,6 +429,50 @@ class TestMalformedFiles:
         assert err[0].startswith(f"error: {scen / name}: ")
         assert reason in err[0]
         assert not list(scen.glob("fit_*"))
+
+    # Undecodable, non-finite, ragged or mis-sized input names the file,
+    # not a consequence such as a solver's dimension check.
+    @pytest.mark.parametrize("name, edit, reason", [
+        ("prior_precision.txt", append_byte, "codec can't decode byte 0xff"),
+        ("observations.csv", append_byte, "codec can't decode byte 0xff"),
+        ("prior_precision.txt",
+         lambda p: edit_data_line(p, 2, replace_token(0, "nan")), "non-finite entry"),
+        ("observations.csv", lambda p: edit_data_line(p, 49, first_columns(3)),
+         "columns"),
+        ("observations.csv",
+         lambda p: edit_data_line(p, 4, lambda ln: "inf" + ln[ln.index(","):]),
+         "non-finite observations"),
+        ("observations.csv", lambda p: p.write_text(
+            "\n".join(map(first_columns(3), p.read_text().splitlines())) + "\n"),
+         "3 columns, but the prior has dim 10"),
+    ], ids=["precision_utf8", "observations_utf8", "precision_nan",
+            "observations_ragged", "observations_inf", "observations_width"])
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    def test_names_the_file(self, tmp_path, capsys, name, edit, reason, command):
+        cfg_path, scen = desk_scenario(tmp_path)
+        edit(scen / name)
+        capsys.readouterr()
+        argv = (["fit", str(scen), "--penalty", "plp", "--gamma", "0.1"]
+                if command == "fit" else ["sweep", "--config", str(cfg_path)])
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {scen / name}: ")
+        assert reason in err[0]
+        assert not list(scen.glob("fit_*"))
+
+    @pytest.mark.parametrize("text, reason", [
+        (b'{"N": 3,\n', "Expecting property name"),
+        (b'{"N": 3\xff}', "codec can't decode byte 0xff"),
+    ], ids=["syntax", "utf8"])
+    def test_config_names_the_file(self, tmp_path, capsys, text, reason):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_bytes(text)
+        assert main(["generate", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {cfg_path}: ")
+        assert reason in err[0]
 
 
 class TestBaselines:
@@ -445,6 +503,20 @@ class TestBaselines:
             (stripped / name).write_bytes((scenario_dir / name).read_bytes())
         with pytest.raises(ValueError, match="supply --k"):
             cmd_baselines(stripped)
+
+    @pytest.mark.parametrize("k, added, dropped", [(None, 1, 1), (10, 4, 2)])
+    def test_counts_exclude_the_diagonal(self, tmp_path, k, added, dropped):
+        # Support files without precision files, each lacking diagonal pairs
+        # the other holds: k and its caps count off-diagonal pairs only.
+        prior = SupportPattern(4, [(1, 1), (2, 2), (2, 1), (3, 1)])
+        truth = SupportPattern(4, [(3, 3), (4, 4), (2, 1), (4, 2)])
+        symmat.write_support(prior, tmp_path / "prior_support.txt")
+        symmat.write_support(truth, tmp_path / "true_support.txt")
+        reports = cmd_baselines(tmp_path, k=k)
+        diagonal = SupportPattern.diagonal(4)
+        assert len(reports["cn"].predicted_support.minus(prior)
+                   .minus(diagonal)) == added
+        assert len(prior.minus(reports["reversed_cn"].predicted_support)) == dropped
 
     def test_complete_prior_ties_flagged(self, tmp_path):
         dim = 5

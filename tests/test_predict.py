@@ -231,6 +231,13 @@ class TestEvaluate:
         truth = SupportPattern(3, [(1, 1)])
         report = evaluate(pred, truth)
         assert report.mispredicted_total == 0
+        # Each side lacks diagonal pairs that the other holds.
+        pred = SupportPattern(3, [(1, 1), (2, 1)])
+        truth = SupportPattern(3, [(2, 2), (3, 3), (2, 1), (3, 2)])
+        assert (evaluate(pred, truth).false_positives,
+                evaluate(pred, truth).false_negatives) == (0, 1)
+        assert (evaluate(truth, pred).false_positives,
+                evaluate(truth, pred).false_negatives) == (1, 0)
 
     def test_fp_fn_symmetry(self, rng):
         for _ in range(20):
