@@ -12,6 +12,7 @@ solvers rely on.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -54,19 +55,26 @@ PRECISION_SCALE = 0.5
 
 RNG_NAME = "numpy-pcg64"
 
+# The largest scenario dim. Generating, fitting and scoring a scenario hold a
+# few dense dim x dim arrays (32 MiB each at 2048) and factor them in
+# O(dim^3) time, so a larger dim is rejected before anything of its size is
+# allocated.
+MAX_DIM = 2048
+
 
 @dataclass(frozen=True)
 class GaussianModel:
     """Zero-mean Gaussian given by its PD precision matrix.
 
-    The covariance (the inverse) and the precision support (the exact
-    nonzeros, the conditional-independence graph) are derived here from
-    one Cholesky factor, so no model pairs a precision with a covariance
-    or a support that disagrees with it.
+    The covariance (the inverse), the log determinant of the precision and
+    the precision support (the exact nonzeros, the conditional-independence
+    graph) are derived here from one Cholesky factor, so no model pairs a
+    precision with a covariance or a support that disagrees with it.
     """
 
     precision: SymmetricMatrix
     covariance: SymmetricMatrix = field(init=False)
+    precision_log_det: float = field(init=False)
     precision_support: SupportPattern = field(init=False)
 
     def __post_init__(self):
@@ -74,6 +82,7 @@ class GaussianModel:
                                   "precision matrix is not positive definite")
         object.__setattr__(self, "covariance", SymmetricMatrix(
             self.precision.dim, _packed_inverse(factor)))
+        object.__setattr__(self, "precision_log_det", _log_det_of_factor(factor))
         object.__setattr__(self, "precision_support",
                            support_of(self.precision, 0.0))
 
@@ -119,12 +128,18 @@ class ScenarioSpec:
     seed: int
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError("scenario needs dim >= 2")
+        _check_scenario_dim(self.dim)
         if not (0.0 < self.edge_density <= 1.0):
             raise ValueError("edge_density must be in (0, 1]")
         if self.n_add < 0 or self.n_remove < 0:
             raise ValueError("edge change counts must be >= 0")
+
+
+def _check_scenario_dim(dim) -> None:
+    """Reject a scenario dim that is not an integer in [2, MAX_DIM]."""
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) \
+            or not 2 <= dim <= MAX_DIM:
+        raise ValueError(f"scenario dim must be an integer in [2, {MAX_DIM}]: {dim!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +226,7 @@ def random_model(dim: int, edge_density: float, seed: int) -> GaussianModel:
     """Random sparse PD precision matrix at the requested off-diagonal edge density:
     the empty graph's model PRECISION_SCALE * I (its structural diagonal is exactly 1,
     so edge weights are unscaled draws) with that share of the pairs added as edges."""
-    if dim < 2:
-        raise ValueError("need dim >= 2")
+    _check_scenario_dim(dim)
     if not (0.0 < edge_density <= 1.0):
         raise ValueError("edge_density must be in (0, 1]")
     n_edges = int(round(edge_density * (dim * (dim - 1) // 2)))

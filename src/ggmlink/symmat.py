@@ -283,26 +283,42 @@ def cholesky(a: SymmetricMatrix):
     return _chol_or_none(a.dim, a.packed())
 
 
-def _chol_or_none(dim: int, packed: np.ndarray, base=None, mask=None):
+def _chol_or_none(dim: int, packed: np.ndarray, base=None, at=None):
+    """Lower Cholesky factor of the matrix that is ``base`` (a full array, or
+    zero) with the values ``packed`` at the offsets ``at`` of a Fortran-ordered
+    full array (the packed triangle by default); None if it is not positive
+    definite."""
     # potrf can report success on NaN or inf, which are never PD.
     if not np.isfinite(packed).all():
         return None
     # potrf reads only the lower triangle, so the upper half stays zero; it
     # factors a Fortran-ordered buffer in place, without a copy.
     full = np.zeros((dim, dim), order="F") if base is None else base.copy(order="F")
-    full[_lower_mask(dim) if mask is None else mask] = packed
+    if at is None:
+        full[_lower_mask(dim)] = packed
+    else:
+        full.ravel(order="F")[at] = packed  # a view of the Fortran-ordered buffer
     factor, info = lapack.dpotrf(full, lower=1, clean=1, overwrite_a=1)
     return factor if info == 0 else None
 
 
 def _free_layout(base: np.ndarray, free: np.ndarray):
-    """(base, mask) of _chol_or_none for triangles equal to ``base`` off the
-    packed mask ``free``; the mask gathers their free entries from a full
-    array, such as _lower_inverse's, in packed order."""
-    dim = int(np.sqrt(2 * free.size))  # the size is dim (dim + 1) / 2
-    full, mask = np.zeros((dim, dim), order="F"), np.zeros((dim, dim), dtype=bool)
-    full[_lower_mask(dim)], mask[_lower_mask(dim)] = base, free
-    return full, mask
+    """(base, rows, cols) for triangles equal to ``base`` off the packed mask
+    ``free``: the base of _chol_or_none, zero on the free entries so that
+    values scattered on a part of them leave the rest zero, and the 0-based
+    row and column of each free entry, in packed order."""
+    full = _lower_full(np.where(free, 0.0, base))
+    rows, cols = np.nonzero(_lower_mask(len(full)))  # in packed order
+    return full, rows[free], cols[free]
+
+
+def _lower_full(packed: np.ndarray) -> np.ndarray:
+    """A packed triangle as the lower triangle of a Fortran-ordered full
+    array, the layout of _lower_inverse's result."""
+    dim = int(np.sqrt(2 * packed.size))  # the size is dim (dim + 1) / 2
+    full = np.zeros((dim, dim), order="F")
+    full[_lower_mask(dim)] = packed
+    return full
 
 
 def _factor_or_raise(a: SymmetricMatrix, message: str) -> np.ndarray:

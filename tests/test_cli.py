@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 import warnings
 
 import pytest
@@ -562,6 +563,26 @@ class TestMainEntry:
         bad.write_text(json.dumps({"N": 5}))
         assert main(["generate", "--config", str(bad),
                      "--out", str(tmp_path / "o")]) == 1
+
+    def test_unbounded_dim_fails_in_one_line(self, tmp_path, capsys):
+        # Rejected with the config, before anything of the dim's size is
+        # allocated: at dim 10**9 a packed triangle would take 4 EB.
+        cfg_path = write_config(tmp_path / "c.json",
+                                scenario={"dim": 10**9, "edge_density": 0.3,
+                                          "n_add": 1, "n_remove": 0, "seed": 0},
+                                output_dir=str(tmp_path / "out"))
+        tracemalloc.start()
+        try:
+            code = main(["generate", "--config", str(cfg_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "dim" in err[0] and "Traceback" not in err[0]
+        assert peak < 2**20
+        assert not (tmp_path / "out").exists()
 
     def test_io_exit_code(self, tmp_path):
         assert main(["fit", str(tmp_path / "nonexistent"), "--penalty", "plp",

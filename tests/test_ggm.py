@@ -262,6 +262,16 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             ScenarioSpec(dim=5, edge_density=0.3, n_add=-1, n_remove=0, seed=0)
 
+    @pytest.mark.parametrize("dim", [True, 10.0, "10", ggm.MAX_DIM + 1, 10**9],
+                             ids=["bool", "float", "str", "above_bound", "huge"])
+    def test_dim_is_a_bounded_integer(self, dim):
+        with pytest.raises(ValueError, match="scenario dim must be an integer"):
+            ScenarioSpec(dim=dim, edge_density=0.3, n_add=1, n_remove=0, seed=0)
+        with pytest.raises(ValueError, match="scenario dim must be an integer"):
+            random_model(dim, 0.3, seed=0)
+        assert ScenarioSpec(dim=np.int64(ggm.MAX_DIM), edge_density=0.3, n_add=1,
+                            n_remove=0, seed=0).dim == ggm.MAX_DIM
+
 
 class TestSerialization:
     def test_model_round_trip(self, tmp_path):
