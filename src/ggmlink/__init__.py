@@ -48,7 +48,6 @@ from .solver import (
 )
 from .predict import (
     PredictionReport,
-    ScoreMatrix,
     common_neighbors,
     evaluate,
     nlp_reversed_baseline,

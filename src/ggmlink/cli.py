@@ -55,10 +55,11 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("N must be >= 1")
+        ggm._check_sample_count(self.n, self.scenario.dim)
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be >= 0: {list(self.seeds)}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct: {list(self.seeds)}")
         if not self.gamma_grid:
@@ -112,12 +113,16 @@ def _fields(raw, types: dict, required, name: str, prefix: str) -> dict:
 
 def load_config(path) -> ExperimentConfig:
     """Parse a JSON experiment config; unknown fields and values of the
-    wrong type are rejected."""
+    wrong type are rejected. A ValueError names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
-        except ValueError as exc:  # syntax, or a byte that is not UTF-8
+            return _config_of(json.load(fh))
+        except ValueError as exc:  # syntax, a byte that is not UTF-8, a value
             raise ValueError(f"{path}: {exc}") from None
+
+
+def _config_of(raw) -> ExperimentConfig:
+    """The experiment config of a parsed JSON object."""
     raw = _fields(raw, _CONFIG_TYPES, ("scenario", "N", "penalty_kind", "seeds"),
                   "config", "")
     scenario = _fields(raw["scenario"], _SCENARIO_TYPES, _SCENARIO_TYPES,
@@ -267,8 +272,8 @@ def cmd_fit(scenario_dir, penalty: PenaltySpec,
     symmat.write_matrix(result.lambda_opt,
                         os.path.join(directory, "lambda_opt.txt"))
     symmat.write_matrix(result.t_opt, os.path.join(directory, "t_opt.txt"))
-    symmat.write_matrix(scores.scores, os.path.join(directory, "scores.txt"),
-                        header=f"variant: {scores.variant}")
+    symmat.write_matrix(scores, os.path.join(directory, "scores.txt"),
+                        header=f"variant: {score_variant}")
     symmat.write_support(predicted,
                          os.path.join(directory, "predicted_support.txt"))
     ggm.save_metadata(report, os.path.join(directory, "report.json"))
@@ -417,6 +422,9 @@ def cmd_baselines(scenario_dir, k: int | None = None,
 def cmd_eval(predicted_path, truth_path, out_path=None) -> PredictionReport:
     predicted = symmat.read_support(predicted_path)
     truth = symmat.read_support(truth_path)
+    if predicted.dim != truth.dim:
+        raise ValueError(f"{predicted_path}: dim {predicted.dim}, but {truth_path}"
+                         f" has dim {truth.dim}")
     report = predict.evaluate(predicted, truth)
     if out_path:
         ggm.save_metadata(report.to_dict(), out_path)
@@ -479,9 +487,7 @@ def _build_parser() -> _Parser:
 def _fit_penalty_from_args(args) -> PenaltySpec:
     kind = args.penalty
     if kind == "known":
-        omega = symmat.read_support(
-            os.path.join(args.scenario_dir, "true_support.txt"))
-        return PenaltySpec.known_support(omega)
+        return PenaltySpec.known_support(ggm.load_support(args.scenario_dir, "true"))
     if args.gamma is None:
         raise ValueError(f"--gamma is required for penalty {kind!r}")
     return PenaltySpec.from_gamma(kind, _parse_gamma(args.gamma))

@@ -61,6 +61,12 @@ RNG_NAME = "numpy-pcg64"
 # allocated.
 MAX_DIM = 2048
 
+# The most sample entries N * dim. Generating a scenario holds the draw, its
+# copy in ObservationSet and, while writing it, a Python float per entry
+# (about 32 bytes): some 0.6 GiB at once at 2**24 entries, 128 MiB per float
+# array. A larger N is rejected before anything of its size is allocated.
+MAX_SAMPLE_ENTRIES = 2**24
+
 
 @dataclass(frozen=True)
 class GaussianModel:
@@ -133,6 +139,8 @@ class ScenarioSpec:
             raise ValueError("edge_density must be in (0, 1]")
         if self.n_add < 0 or self.n_remove < 0:
             raise ValueError("edge change counts must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"scenario seed must be >= 0: {self.seed!r}")
 
 
 def _check_scenario_dim(dim) -> None:
@@ -140,6 +148,14 @@ def _check_scenario_dim(dim) -> None:
     if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) \
             or not 2 <= dim <= MAX_DIM:
         raise ValueError(f"scenario dim must be an integer in [2, {MAX_DIM}]: {dim!r}")
+
+
+def _check_sample_count(n, dim: int) -> None:
+    """Reject a sample count N that is not an integer in [1, MAX_SAMPLE_ENTRIES // dim]."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) \
+            or not 1 <= n <= MAX_SAMPLE_ENTRIES // dim:
+        raise ValueError(f"N must be an integer in [1, {MAX_SAMPLE_ENTRIES // dim}]"
+                         f" at dim {dim}: {n!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +205,7 @@ def relative_error(cov_true: SymmetricMatrix,
 def draw_samples(cov: SymmetricMatrix, n: int, seed: int) -> ObservationSet:
     """Draw n i.i.d. samples of N(0, cov) by coloring standard normals with
     the Cholesky factor. Deterministic given ``seed`` (generator: pcg64)."""
-    if n < 1:
-        raise ValueError("need at least one sample")
+    _check_sample_count(n, cov.dim)
     factor = _factor_or_raise(cov, "draw_samples requires a positive definite covariance")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, cov.dim))

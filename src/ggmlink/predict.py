@@ -28,24 +28,6 @@ SCORE_VARIANTS = ("as_written", "partial_correlation")
 
 
 @dataclass(frozen=True)
-class ScoreMatrix:
-    """Pairwise link scores r_ij.
-
-    variant "as_written" scales the inverse by the covariance diagonal,
-    diag(T)^{1/2} T^-1 diag(T)^{1/2}; variant "partial_correlation"
-    normalizes by the precision diagonal, D^-1/2 K D^-1/2 with K = T^-1 and
-    D = diag(K), which is the scaling under which |r_ij| <= 1 holds.
-    """
-
-    scores: SymmetricMatrix
-    variant: str
-
-    @property
-    def dim(self) -> int:
-        return self.scores.dim
-
-
-@dataclass(frozen=True)
 class PredictionReport:
     """Predicted support plus misprediction counts against a truth, when
     one is available. Counts are over undirected off-diagonal pairs."""
@@ -82,8 +64,12 @@ class PredictionReport:
 # ---------------------------------------------------------------------------
 
 def score_matrix(t_opt: SymmetricMatrix, variant: str = "partial_correlation",
-                 ) -> ScoreMatrix:
-    """Score matrix of an estimated PD covariance, under either scaling."""
+                 ) -> SymmetricMatrix:
+    """Pairwise link scores r_ij of an estimated PD covariance T. Variant
+    "as_written" scales the inverse by the covariance diagonal, diag(T)^{1/2}
+    T^-1 diag(T)^{1/2}; "partial_correlation" normalizes by the precision
+    diagonal, D^-1/2 K D^-1/2 with K = T^-1 and D = diag(K), the scaling
+    under which |r_ij| <= 1 holds."""
     if variant not in SCORE_VARIANTS:
         raise ValueError(f"unknown score variant {variant!r}")
     k = _packed_inverse(
@@ -93,16 +79,14 @@ def score_matrix(t_opt: SymmetricMatrix, variant: str = "partial_correlation",
         d = np.sqrt(t_opt.packed()[diag])
     else:
         d = 1.0 / np.sqrt(k[diag])
-    scale = SymmetricMatrix.from_array(np.outer(d, d))
-    return ScoreMatrix(scores=SymmetricMatrix(t_opt.dim, scale.packed() * k),
-                       variant=variant)
+    return SymmetricMatrix(t_opt.dim, _tril_of(np.outer(d, d)) * k)
 
 
-def threshold_support(r: ScoreMatrix, t_r: float) -> SupportPattern:
+def threshold_support(r: SymmetricMatrix, t_r: float) -> SupportPattern:
     """Off-diagonal pairs with |r_ij| > t_r, plus every diagonal pair."""
     if not 0.0 < t_r < np.inf:
         raise ValueError("threshold must be finite and strictly positive")
-    return support_of(r.scores, t_r).union(SupportPattern.diagonal(r.dim))
+    return support_of(r, t_r).union(SupportPattern.diagonal(r.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ from scipy.linalg import blas
 
 from .ggm import GaussianModel
 from .symmat import (SupportPattern, SymmetricMatrix, _chol_or_none, _factor_or_raise,
-                     _free_layout, _log_det_of_factor, _lower_full, _lower_inverse,
+                     _free_layout, _gather, _log_det_of_factor, _lower_full, _lower_inverse,
                      _packed_diagonal, _packed_inverse, _pair_weight, _support_json,
                      _trace_inner, _tril_of, support_of)
 
@@ -386,9 +386,7 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
         raise ValueError("initial multiplier dimension does not match the model")
     s_inv = model.precision.packed()
     pen = _Penalty(penalty, model.precision_support)
-    base, rows, cols = _free_layout(s_inv, pen.free)
-    # The free entries' offsets in a Fortran-ordered full array.
-    at = rows + dim * cols
+    base, at, rows, cols = _free_layout(s_inv, pen.free)
     s_free = s_inv[pen.free]
     # One weight for tr(T_hat X) = t_w . x and for the gradient (docstring).
     weight = _pair_weight(dim)[pen.free]
@@ -420,7 +418,7 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
     def gradient(full):
         # W = K^-1 from its lower triangle in a Fortran-ordered full array:
         # (W, W's free entries, the free gradient).
-        inv = full.ravel(order="F")[at]
+        inv = _gather(full, at)
         return full, inv, t_w - weight * inv
 
     def metric_on(grad):

@@ -303,13 +303,21 @@ def _chol_or_none(dim: int, packed: np.ndarray, base=None, at=None):
 
 
 def _free_layout(base: np.ndarray, free: np.ndarray):
-    """(base, rows, cols) for triangles equal to ``base`` off the packed mask
-    ``free``: the base of _chol_or_none, zero on the free entries so that
-    values scattered on a part of them leave the rest zero, and the 0-based
-    row and column of each free entry, in packed order."""
+    """(base, at, rows, cols) for triangles equal to ``base`` off the packed
+    mask ``free``: the base of _chol_or_none, zero on the free entries so
+    that values scattered on a part of them leave the rest zero; the offsets
+    of the free entries in a Fortran-ordered full array, for _chol_or_none
+    and _gather; and their 0-based rows and columns, all in packed order."""
     full = _lower_full(np.where(free, 0.0, base))
     rows, cols = np.nonzero(_lower_mask(len(full)))  # in packed order
-    return full, rows[free], cols[free]
+    rows, cols = rows[free], cols[free]
+    return full, rows + len(full) * cols, rows, cols
+
+
+def _gather(full: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The entries at the offsets ``at`` of a Fortran-ordered full array,
+    the gather that matches _chol_or_none's scatter."""
+    return full.ravel(order="F")[at]  # ravel is a view of a Fortran-ordered array
 
 
 def _lower_full(packed: np.ndarray) -> np.ndarray:

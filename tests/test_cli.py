@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shutil
 import tracemalloc
 import warnings
 
@@ -476,6 +478,127 @@ class TestMalformedFiles:
         assert reason in err[0]
 
 
+# Each mutation maps a file's bytes to new bytes. Line edits act on the
+# text's lines; line 0 is a matrix's or support's dimension, and a token
+# edit replaces the first number of the first later line that has one.
+_NUMBER = re.compile(r"-?\d+(\.\d*)?(e[-+]?\d+)?")
+
+
+def _on_lines(edit):
+    return lambda data: ("\n".join(edit(data.decode().splitlines())) + "\n").encode()
+
+
+def _set_token(token):
+    def edit(lines):
+        at = next(i for i, ln in enumerate(lines) if i and _NUMBER.search(ln))
+        lines[at] = _NUMBER.sub(token, lines[at], count=1)
+        return lines
+    return _on_lines(edit)
+
+
+def _set_config(**fields):
+    return lambda data: json.dumps({**json.loads(data), **fields}, indent=2).encode()
+
+
+MUTATIONS = {
+    "empty": lambda data: b"",
+    "header_only": _on_lines(lambda lines: lines[:1]),
+    "row_dropped": _on_lines(lambda lines: lines[:-1]),
+    "row_duplicated": _on_lines(lambda lines: lines + lines[-1:]),
+    "nan": _set_token("nan"),
+    "inf": _set_token("inf"),
+    "1e400": _set_token("1e400"),
+    "x": _set_token("x"),
+    "wrong_dim": _on_lines(lambda lines: ["7"] + lines[1:]),
+    "non_utf8": lambda data: data + b"\xff",
+}
+CONFIG_MUTATIONS = {
+    "unbounded_n": _set_config(N=10**15),
+    "negative_seed": _set_config(seeds=[-1]),
+}
+# What each command runs, in a copy of the table's tree: the config c.json
+# and the dim-6 scenario seed_0/ with predicted.txt, a copy of its truth's
+# support.
+COMMANDS = {
+    "fit_plp": ["fit", "seed_0", "--penalty", "plp", "--gamma", "0.1"],
+    "fit_known": ["fit", "seed_0", "--penalty", "known"],
+    "fit_config": ["fit", "seed_0", "--penalty", "plp", "--gamma", "0.1",
+                   "--config", "c.json"],
+    "sweep": ["sweep", "--config", "c.json"],
+    "baselines": ["baselines", "seed_0"],
+    "generate": ["generate", "--config", "c.json", "--out", "gen"],
+    "eval": ["eval", "seed_0/predicted.txt", "seed_0/true_support.txt"],
+}
+_MODEL_READERS = ("fit_plp", "fit_known", "sweep", "baselines")
+READERS = {
+    "seed_0/prior_precision.txt": _MODEL_READERS,
+    "seed_0/prior_support.txt": _MODEL_READERS,
+    "seed_0/true_precision.txt": _MODEL_READERS,
+    "seed_0/true_support.txt": _MODEL_READERS + ("eval",),
+    "seed_0/observations.csv": ("fit_plp", "fit_known", "sweep"),
+    "seed_0/predicted.txt": ("eval",),
+    "c.json": ("generate", "sweep", "fit_config"),
+}
+# Line edits that leave a set of lines valid: observations are any nonempty
+# set of rows, and a support file is a set of pairs, though one beside a
+# precision file must hold exactly its nonzeros.
+_SET_EDITS = {"header_only", "row_dropped", "row_duplicated"}
+
+
+def _still_valid(name, mutation, command):
+    if name.endswith("observations.csv") or command == "eval":
+        return mutation in _SET_EDITS
+    return name.endswith("support.txt") and mutation == "row_duplicated"
+
+
+@pytest.fixture(scope="module")
+def input_tree(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    path = root / "c.json"
+    path.write_text(json.dumps({
+        "scenario": {"dim": 6, "edge_density": 0.3, "n_add": 1, "n_remove": 1,
+                     "seed": 0},
+        "N": 200, "penalty_kind": "plp", "gamma_grid": [0.1], "seeds": [0],
+        "output_dir": "."}, indent=2, sort_keys=True) + "\n")
+    cmd_generate(load_config(path), out_dir=root)
+    shutil.copy(root / "seed_0" / "true_support.txt",
+                root / "seed_0" / "predicted.txt")
+    return root
+
+
+class TestMalformedInputTable:
+    """Every file a command reads, under a fixed list of mutations: an
+    invalid input exits 1 with one line naming the file, writes nothing
+    and prints no traceback; a valid one exits 0 or 3."""
+
+    @pytest.mark.parametrize("name, mutation, command", [
+        (name, mutation, command)
+        for name, commands in READERS.items()
+        for mutation in list(MUTATIONS) + (list(CONFIG_MUTATIONS)
+                                           if name == "c.json" else [])
+        for command in commands])
+    def test_one_line_or_valid(self, input_tree, tmp_path, monkeypatch, capsys,
+                               name, mutation, command):
+        root = tmp_path / "tree"
+        shutil.copytree(input_tree, root)
+        monkeypatch.chdir(root)
+        path = root / name
+        mutate = {**MUTATIONS, **CONFIG_MUTATIONS}[mutation]
+        path.write_bytes(mutate(path.read_bytes()))
+        before = tree_bytes(root)
+        code = main(COMMANDS[command])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if _still_valid(name, mutation, command):
+            assert code in (0, 3), err
+        else:
+            assert code == 1
+            lines = err.strip().splitlines()
+            assert len(lines) == 1
+            assert name in lines[0]
+            assert tree_bytes(root) == before
+
+
 class TestBaselines:
     def test_k_defaults_from_truth(self, scenario_dir, tmp_path):
         reports = cmd_baselines(scenario_dir, out_dir=tmp_path / "base")
@@ -582,6 +705,40 @@ class TestMainEntry:
         assert len(err) == 1
         assert "dim" in err[0] and "Traceback" not in err[0]
         assert peak < 2**20
+        assert not (tmp_path / "out").exists()
+
+    def test_unbounded_n_fails_in_one_line(self, tmp_path, capsys):
+        # Rejected with the config, before the draw: at N 10**15 and dim 6
+        # the samples would take 48 PB.
+        cfg_path = write_config(tmp_path / "c.json", N=10**15,
+                                output_dir=str(tmp_path / "out"))
+        tracemalloc.start()
+        try:
+            code = main(["generate", "--config", str(cfg_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "N must be an integer" in err[0] and "Traceback" not in err[0]
+        assert peak < 2**20
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"seeds": [0, -1]}, "seeds must be >= 0"),
+        ({"scenario": {"dim": 6, "edge_density": 0.3, "n_add": 1, "n_remove": 0,
+                       "seed": -1}}, "scenario seed must be >= 0"),
+    ], ids=["seeds", "scenario_seed"])
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    def test_negative_seed_fails_in_one_line(self, tmp_path, capsys, overrides,
+                                             field, command):
+        cfg_path = write_config(tmp_path / "c.json", **overrides,
+                                output_dir=str(tmp_path / "out"))
+        assert main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {cfg_path}: ") and field in err[0]
         assert not (tmp_path / "out").exists()
 
     def test_io_exit_code(self, tmp_path):

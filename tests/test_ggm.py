@@ -141,6 +141,16 @@ class TestDrawSamples:
         with pytest.raises(ValueError):
             draw_samples(SymmetricMatrix.zeros(2), 5, seed=1)
 
+    @pytest.mark.parametrize("n", [0, True, 5.0, ggm.MAX_SAMPLE_ENTRIES // 4 + 1,
+                                   10**15],
+                             ids=["zero", "bool", "float", "above_bound", "huge"])
+    def test_sample_count_is_bounded(self, n):
+        # Rejected before the draw: at N 10**15 it would take 32 PB.
+        with pytest.raises(ValueError, match="N must be an integer"):
+            draw_samples(SymmetricMatrix.identity(4), n, seed=1)
+        ggm._check_sample_count(ggm.MAX_SAMPLE_ENTRIES // 4, 4)
+        ggm._check_sample_count(1600, 400)  # scale-fit's draw
+
 
 class TestRandomModel:
     def test_precision_is_pd_and_support_exact(self):
@@ -271,6 +281,10 @@ class TestScenarioSpec:
             random_model(dim, 0.3, seed=0)
         assert ScenarioSpec(dim=np.int64(ggm.MAX_DIM), edge_density=0.3, n_add=1,
                             n_remove=0, seed=0).dim == ggm.MAX_DIM
+
+    def test_seed_is_non_negative(self):
+        with pytest.raises(ValueError, match="scenario seed must be >= 0: -1"):
+            ScenarioSpec(dim=5, edge_density=0.3, n_add=1, n_remove=0, seed=-1)
 
 
 class TestSerialization:

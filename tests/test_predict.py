@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ggmlink import (
-    ScoreMatrix,
     SupportPattern,
     SymmetricMatrix,
     common_neighbors,
@@ -30,20 +29,20 @@ class TestScoreMatrix:
     def test_identity_both_variants(self):
         eye = SymmetricMatrix.identity(3)
         for variant in ("as_written", "partial_correlation"):
-            np.testing.assert_allclose(score_matrix(eye, variant).scores.to_array(),
+            np.testing.assert_allclose(score_matrix(eye, variant).to_array(),
                                        np.eye(3))
 
     def test_diagonal_input(self):
         t = SymmetricMatrix.diagonal([2.0, 0.5, 4.0])
-        pc = score_matrix(t, "partial_correlation").scores.to_array()
+        pc = score_matrix(t, "partial_correlation").to_array()
         np.testing.assert_allclose(pc, np.eye(3), atol=1e-14)
-        aw = score_matrix(t, "as_written").scores.to_array()
+        aw = score_matrix(t, "as_written").to_array()
         assert np.all(aw == np.diag(np.diag(aw)))
 
     def test_already_normalized_precision(self):
         k = np.array([[1.0, 0.5], [0.5, 1.0]])
         t = inverse(SymmetricMatrix.from_array(k))
-        pc = score_matrix(t, "partial_correlation").scores
+        pc = score_matrix(t, "partial_correlation")
         assert abs(pc[2, 1] - 0.5) < 1e-10
         assert abs(pc[1, 1] - 1.0) < 1e-12
 
@@ -52,14 +51,14 @@ class TestScoreMatrix:
         k = inverse(t).to_array()
         d = np.sqrt(np.diag(t.to_array()))
         expected = np.diag(d) @ k @ np.diag(d)
-        got = score_matrix(t, "as_written").scores.to_array()
+        got = score_matrix(t, "as_written").to_array()
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_partial_correlation_bounds(self, rng):
         # Cauchy-Schwarz on the precision matrix: unit diagonal, |r| <= 1.
         for _ in range(100):
             t = random_pd(5, rng)
-            r = score_matrix(t, "partial_correlation").scores.to_array()
+            r = score_matrix(t, "partial_correlation").to_array()
             np.testing.assert_allclose(np.diag(r), np.ones(5), atol=1e-12)
             assert np.max(np.abs(r)) <= 1.0 + 1e-12
 
@@ -268,7 +267,7 @@ class TestEvaluate:
 # ---------------------------------------------------------------------------
 
 def loop_threshold_support(r, t_r):
-    arr = np.abs(r.scores.to_array())
+    arr = np.abs(r.to_array())
     dim = r.dim
     pairs = [(i, i) for i in range(1, dim + 1)]
     for i in range(2, dim + 1):
@@ -374,8 +373,7 @@ class TestArrayFormsMatchLoops:
             lambda v: np.reshape(v, (dim, dim)))))
     def test_threshold_support(self, arr):
         # Scores at exactly the threshold test the strict comparison.
-        scores = SymmetricMatrix.from_array(np.tril(arr) + np.tril(arr, -1).T)
-        r = ScoreMatrix(scores=scores, variant="partial_correlation")
+        r = SymmetricMatrix.from_array(np.tril(arr) + np.tril(arr, -1).T)
         for t_r in (1e-4, 0.25, 0.3):
             assert threshold_support(r, t_r) == loop_threshold_support(r, t_r)
 
