@@ -185,14 +185,13 @@ def generate_scenario(scenario: ScenarioSpec, n: int, directory) -> None:
     }, os.path.join(directory, "metadata.json"))
 
 
-def cmd_generate(config: ExperimentConfig, out_dir=None,
-                 seeds=None) -> list:
+def cmd_generate(config: ExperimentConfig, out_dir=None) -> list:
     """One scenario directory per seed under the output root."""
     root = out_dir or config.output_dir
     if root is None:
         raise ValueError("no output directory (set output_dir or --out)")
     written = []
-    for s in (seeds or config.seeds):
+    for s in config.seeds:
         directory = _scenario_dir(root, s)
         generate_scenario(dataclasses.replace(config.scenario, seed=s),
                           config.n, directory)
@@ -320,8 +319,7 @@ def _sweep_cell(scenario_dir, seed: int, gamma, config: ExperimentConfig,
     }
 
 
-def cmd_sweep(root, config: ExperimentConfig, threads: int = 1,
-              seeds=None) -> dict:
+def cmd_sweep(root, config: ExperimentConfig, threads: int = 1) -> dict:
     """Run the seeds on ``threads`` worker threads, each seed's gamma cells
     in turn on one thread; write the CSV of rows and a summary JSON. Rows
     keep the (seed, gamma) order."""
@@ -329,7 +327,7 @@ def cmd_sweep(root, config: ExperimentConfig, threads: int = 1,
         raise ValueError("threads must be >= 1")
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         ordered = [row for rows in pool.map(
-            lambda s: _sweep_seed(root, s, config), seeds or config.seeds)
+            lambda s: _sweep_seed(root, s, config), config.seeds)
             for row in rows]
 
     csv_path = os.path.join(root, f"sweep_{config.penalty_kind}.csv")
@@ -393,7 +391,7 @@ def cmd_baselines(scenario_dir, k: int | None = None,
     diagonal = symmat.SupportPattern.diagonal(prior_support.dim)
     if k is None:
         if truth is None:
-            raise ValueError("no truth on disk: supply --k")
+            raise ValueError(f"{scenario_dir}: no truth on disk: supply --k")
         k_add = len(truth.minus(prior_support).minus(diagonal))
         k_remove = len(prior_support.minus(truth).minus(diagonal))
     else:
@@ -493,13 +491,23 @@ def _fit_penalty_from_args(args) -> PenaltySpec:
     return PenaltySpec.from_gamma(kind, _parse_gamma(args.gamma))
 
 
+def _config_from_args(args) -> ExperimentConfig:
+    """The config of --config, narrowed to the one seed of --seed when it is
+    given: the seed is checked like a seeds entry of the file."""
+    config = load_config(args.config)
+    if args.seed is None:
+        return config
+    try:
+        return dataclasses.replace(config, seeds=(args.seed,))
+    except ValueError as exc:
+        raise ValueError(f"--seed: {exc}") from None
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "generate":
-            config = load_config(args.config)
-            seeds = [args.seed] if args.seed is not None else None
-            written = cmd_generate(config, out_dir=args.out, seeds=seeds)
+            written = cmd_generate(_config_from_args(args), out_dir=args.out)
             for d in written:
                 print(d)
             return 0
@@ -520,12 +528,11 @@ def main(argv=None) -> int:
             return 0 if result.converged else 3
 
         if args.command == "sweep":
-            config = load_config(args.config)
+            config = _config_from_args(args)
             root = args.out or config.output_dir
             if root is None:
                 raise ValueError("no output directory (set output_dir or --out)")
-            seeds = [args.seed] if args.seed is not None else None
-            out = cmd_sweep(root, config, threads=args.threads, seeds=seeds)
+            out = cmd_sweep(root, config, threads=args.threads)
             print(out["csv"])
             best = out["summary"]["best_gamma"]
             print(f"best_gamma={best} "

@@ -86,9 +86,10 @@ class GaussianModel:
     def __post_init__(self):
         factor = _factor_or_raise(self.precision,
                                   "precision matrix is not positive definite")
+        # The log det goes first: the inverse overwrites the factor.
+        object.__setattr__(self, "precision_log_det", _log_det_of_factor(factor))
         object.__setattr__(self, "covariance", SymmetricMatrix(
             self.precision.dim, _packed_inverse(factor)))
-        object.__setattr__(self, "precision_log_det", _log_det_of_factor(factor))
         object.__setattr__(self, "precision_support",
                            support_of(self.precision, 0.0))
 
@@ -99,9 +100,15 @@ class GaussianModel:
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """N i.i.d. zero-mean samples of dimension m, one per row."""
+    """N i.i.d. zero-mean samples of dimension m, one per row.
+
+    The second moment is formed on the first sample_covariance call and
+    shared by the later ones, so the fits of one set form it once.
+    """
 
     samples: np.ndarray
+    _second_moment: SymmetricMatrix | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -163,10 +170,16 @@ def _check_sample_count(n, dim: int) -> None:
 # ---------------------------------------------------------------------------
 
 def sample_covariance(obs: ObservationSet) -> SymmetricMatrix:
-    """Second-moment matrix (1/N) sum_k x_k x_k^T (zero-mean convention)."""
-    x = obs.samples
-    cov = x.T @ x / x.shape[0]
-    return SymmetricMatrix(obs.dim, _tril_of(cov))
+    """Second-moment matrix (1/N) sum_k x_k x_k^T (zero-mean convention),
+    formed once per observation set; the matrix is immutable, so every call
+    on ``obs`` returns the same one."""
+    # Threads that share ``obs`` may each form it; the results are bitwise
+    # equal, so keeping either one is safe.
+    if obs._second_moment is None:
+        x = obs.samples
+        object.__setattr__(obs, "_second_moment",
+                           SymmetricMatrix(obs.dim, _tril_of(x.T @ x / x.shape[0])))
+    return obs._second_moment
 
 
 def kl_divergence(cov_t: SymmetricMatrix, cov_s: SymmetricMatrix) -> float:

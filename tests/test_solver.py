@@ -1,5 +1,7 @@
 """First-order solver: dual functional, proxes, and the full descent loop."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -30,6 +32,7 @@ from ggmlink import (
     support_of,
 )
 from ggmlink import solver as solver_module
+from ggmlink import symmat as symmat_module
 from ggmlink.solver import (_BB_STEP_MAX, _BB_STEP_MIN, _STEP_FLOOR, _STEP_INIT,
                             _Penalty, _bb_step, _prox)
 from ggmlink.symmat import _chol_or_none, _lower_inverse, _tril_of
@@ -1083,6 +1086,28 @@ class TestActiveSet:
         scale = step / np.array([metric])
         cand, magnitude = pen.prox(k - scale * w, scale)
         assert cand[0] == 0.0 and magnitude[0] == 0.0
+
+
+class TestActiveSetPinned:
+    # A plp fit at dim 70 (2,485 free entries) runs on the active set at the
+    # default crossover. Its trace, t_opt and iteration count are pinned to
+    # recorded digests, so a change to how A is formed or to the buffers the
+    # kernels work in that moves one bit fails here. The leaf is pinned too,
+    # so that the digests do not move with the inverse's tuning: at 128 an
+    # order-70 factor is one leaf. The digests are those of OpenBLAS 0.3.31
+    # on x86-64 (Haswell kernels); a BLAS that rounds differently, in the
+    # draw or in the kernels, moves them.
+    def test_fit_matches_recorded_digests(self, monkeypatch):
+        monkeypatch.setattr(symmat_module, "_INVERSE_LEAF", 128)
+        prior, _, t_hat = make_instance(2, dim=70, density=0.05, n_add=3,
+                                        n_remove=0, n_obs=280)
+        assert prior.dim * (prior.dim + 1) // 2 >= solver_module._ACTIVE_SET_MIN
+        res = solve(prior, t_hat, PenaltySpec.plp(0.1))
+        assert res.converged and res.iterations == 19
+        assert hashlib.sha256(np.array(res.objective_trace).tobytes()).hexdigest() == (
+            "a7742b9fbf132c239f7ac4d6a15ad1b5698f36d49b6852c34582263eddf657a5")
+        assert hashlib.sha256(res.t_opt.packed().tobytes()).hexdigest() == (
+            "6be97677759979f440b3f366b87db7f6107e692ed963516d15c0d754835abb32")
 
 
 @pytest.fixture(scope="class", params=[0, np.inf], ids=["active_set", "whole_set"])

@@ -18,7 +18,8 @@ from ggmlink import (
     write_matrix,
     write_support,
 )
-from ggmlink.symmat import _INVERSE_LEAF, _chol_or_none, _packed_inverse, _trace_inner
+from ggmlink.symmat import (_INVERSE_LEAF, _chol_or_none, _lower_inverse, _packed_inverse,
+                            _trace_inner, _tril_of)
 from conftest import random_pd, random_symmetric
 
 
@@ -335,10 +336,20 @@ class TestPackedKernels:
                                      2 * _INVERSE_LEAF + 1, 400])
     def test_packed_inverse_across_the_recursion_cut(self, dim):
         # pd_matrices() stays below the leaf. Orders 1 and the leaf invert
-        # as one leaf, leaf + 1 splits once into uneven halves, and
-        # 2 leaf + 1 and 400 split twice.
+        # as one leaf, leaf + 1 splits once into uneven halves, 2 leaf + 1
+        # splits twice and 400 three times.
         assert_inverse_matches_the_mirrored_inverse(
             random_pd(dim, np.random.default_rng(dim), scale=0.1))
+
+    @pytest.mark.parametrize("dim", [3, 2 * _INVERSE_LEAF + 1])
+    def test_lower_inverse_overwrites_the_factor(self, dim):
+        # The inverse is formed in the factor's own buffer, no copy: its
+        # lower triangle is the packed inverse of a fresh factor.
+        a = random_pd(dim, np.random.default_rng(dim), scale=0.1)
+        factor = _chol_or_none(dim, a.packed())
+        expected = _packed_inverse(_chol_or_none(dim, a.packed()))
+        assert _lower_inverse(factor) is factor
+        assert _tril_of(factor).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("dim", [3, 2 * _INVERSE_LEAF + 1])
     def test_packed_inverse_raises_on_a_zero_diagonal(self, dim):
