@@ -11,6 +11,7 @@ solvers rely on.
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 import os
@@ -107,8 +108,6 @@ class ObservationSet:
     """
 
     samples: np.ndarray
-    _second_moment: SymmetricMatrix | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -127,6 +126,13 @@ class ObservationSet:
     @property
     def dim(self) -> int:
         return self.samples.shape[1]
+
+    @functools.cached_property
+    def _second_moment(self) -> SymmetricMatrix:
+        # Threads that share the set may each form it (from Python 3.12 on,
+        # cached_property takes no lock); the results are bitwise equal.
+        x = self.samples
+        return SymmetricMatrix(self.dim, _tril_of(x.T @ x / x.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -173,12 +179,6 @@ def sample_covariance(obs: ObservationSet) -> SymmetricMatrix:
     """Second-moment matrix (1/N) sum_k x_k x_k^T (zero-mean convention),
     formed once per observation set; the matrix is immutable, so every call
     on ``obs`` returns the same one."""
-    # Threads that share ``obs`` may each form it; the results are bitwise
-    # equal, so keeping either one is safe.
-    if obs._second_moment is None:
-        x = obs.samples
-        object.__setattr__(obs, "_second_moment",
-                           SymmetricMatrix(obs.dim, _tril_of(x.T @ x / x.shape[0])))
     return obs._second_moment
 
 

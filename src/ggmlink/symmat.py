@@ -49,14 +49,10 @@ def _packed_diagonal(dim: int) -> np.ndarray:
     return diag
 
 
-@functools.lru_cache(maxsize=8)
 def _pair_weight(dim: int) -> np.ndarray:
-    """Read-only count of how often each packed entry occurs in the full
-    matrix: 2 off the diagonal, 1 on it. This is the one place off-diagonals
-    double."""
-    weight = 2.0 - _packed_diagonal(dim)
-    weight.setflags(write=False)
-    return weight
+    """How often each packed entry occurs in the full matrix: 2 off the
+    diagonal, 1 on it. This is the one place off-diagonals double."""
+    return 2.0 - _packed_diagonal(dim)
 
 
 @functools.lru_cache(maxsize=8)

@@ -1096,7 +1096,8 @@ class TestActiveSetPinned:
     # so that the digests do not move with the inverse's tuning: at 128 an
     # order-70 factor is one leaf. The digests are those of OpenBLAS 0.3.31
     # on x86-64 (Haswell kernels); a BLAS that rounds differently, in the
-    # draw or in the kernels, moves them.
+    # draw or in the kernels, moves them. The next test guards the same
+    # change to A on any BLAS.
     def test_fit_matches_recorded_digests(self, monkeypatch):
         monkeypatch.setattr(symmat_module, "_INVERSE_LEAF", 128)
         prior, _, t_hat = make_instance(2, dim=70, density=0.05, n_add=3,
@@ -1108,6 +1109,23 @@ class TestActiveSetPinned:
             "a7742b9fbf132c239f7ac4d6a15ad1b5698f36d49b6852c34582263eddf657a5")
         assert hashlib.sha256(res.t_opt.packed().tobytes()).hexdigest() == (
             "6be97677759979f440b3f366b87db7f6107e692ed963516d15c0d754835abb32")
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.1, 0.2])
+    def test_fit_agrees_with_the_whole_free_set(self, monkeypatch, gamma):
+        # The same fits at the shipped leaf, held to a guard that does not
+        # hang on how the host's BLAS rounds: the active-set fit converges to
+        # the whole-set one (they agree to about 3e-8 relative). An A that
+        # drops a nonzero of k factors a K that is not the iterate, and the
+        # fit stalls or fails its line search.
+        prior, _, t_hat = make_instance(2, dim=70, density=0.05, n_add=3,
+                                        n_remove=0, n_obs=280)
+        active = solve(prior, t_hat, PenaltySpec.plp(gamma))
+        monkeypatch.setattr(solver_module, "_ACTIVE_SET_MIN", np.inf)
+        whole = solve(prior, t_hat, PenaltySpec.plp(gamma))
+        assert active.converged and whole.converged
+        assert active.kkt_violation <= 1e-6
+        np.testing.assert_allclose(active.t_opt.packed(), whole.t_opt.packed(),
+                                   rtol=0, atol=1e-6 * np.max(np.abs(whole.t_opt.packed())))
 
 
 @pytest.fixture(scope="class", params=[0, np.inf], ids=["active_set", "whole_set"])
