@@ -19,8 +19,8 @@ from .symmat import (
     _factor_or_raise,
     _packed_diagonal,
     _packed_inverse,
+    _packed_rows_cols,
     _support_json,
-    _tril_of,
     support_of,
 )
 
@@ -69,17 +69,23 @@ def score_matrix(t_opt: SymmetricMatrix, variant: str = "partial_correlation",
     "as_written" scales the inverse by the covariance diagonal, diag(T)^{1/2}
     T^-1 diag(T)^{1/2}; "partial_correlation" normalizes by the precision
     diagonal, D^-1/2 K D^-1/2 with K = T^-1 and D = diag(K), the scaling
-    under which |r_ij| <= 1 holds."""
+    under which |r_ij| <= 1 holds. K is the inverse that T carries when the
+    code that made T computed both, as solve does for its t_opt; any other
+    T is factored and inverted."""
     if variant not in SCORE_VARIANTS:
         raise ValueError(f"unknown score variant {variant!r}")
-    k = _packed_inverse(
-        _factor_or_raise(t_opt, "score_matrix requires a positive definite input"))
+    if t_opt._inverse is not None:
+        k = t_opt._inverse.packed()
+    else:
+        k = _packed_inverse(
+            _factor_or_raise(t_opt, "score_matrix requires a positive definite input"))
     diag = _packed_diagonal(t_opt.dim)
     if variant == "as_written":
         d = np.sqrt(t_opt.packed()[diag])
     else:
         d = 1.0 / np.sqrt(k[diag])
-    return SymmetricMatrix(t_opt.dim, _tril_of(np.outer(d, d)) * k)
+    rows, cols = _packed_rows_cols(t_opt.dim)
+    return SymmetricMatrix._of_packed(t_opt.dim, d[rows] * d[cols] * k)
 
 
 def threshold_support(r: SymmetricMatrix, t_r: float) -> SupportPattern:
@@ -96,13 +102,20 @@ def threshold_support(r: SymmetricMatrix, t_r: float) -> SupportPattern:
 def common_neighbors(support: SupportPattern) -> SymmetricMatrix:
     """Count of shared neighbors per pair, from the off-diagonal graph of
     ``support``; the diagonal is zeroed (self-pairs are not scored)."""
-    adj = support.mask()
-    np.fill_diagonal(adj, False)
-    # Priors are sparse graphs; a dense product would cost dim^3.
-    adj = sparse.csr_array(adj, dtype=np.float64)
-    counts = (adj @ adj).toarray()
-    np.fill_diagonal(counts, 0.0)
-    return SymmetricMatrix(support.dim, _tril_of(counts))
+    dim = support.dim
+    rows, cols = _packed_rows_cols(dim)
+    edges = np.flatnonzero(support.packed() & ~_packed_diagonal(dim))
+    ends = np.concatenate((rows[edges], cols[edges]))
+    # Priors are sparse graphs; a dense product would cost dim^3. The
+    # adjacency is built from the edges, both ways round.
+    adj = sparse.csr_array(
+        (np.ones(ends.size), (ends, np.roll(ends, edges.size))), shape=(dim, dim))
+    counts = (adj @ adj).tocoo()
+    lower = counts.row > counts.col
+    row, col = counts.row[lower].astype(np.int64), counts.col[lower]
+    packed = np.zeros(dim * (dim + 1) // 2)
+    packed[row * (row + 1) // 2 + col] = counts.data[lower]
+    return SymmetricMatrix._of_packed(dim, packed)
 
 
 def _top_k(prior_support: SupportPattern, pool: SupportPattern, k: int,

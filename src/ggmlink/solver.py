@@ -183,8 +183,13 @@ class SolverConfig:
 
 @dataclass
 class SolveResult:
-    lambda_opt: SymmetricMatrix
+    """One fit. K = S^-1 + L as iterated is held once, as ``precision``:
+    ``t_opt`` = K^-1 carries it as its known inverse, and ``lambda_opt`` is
+    derived from it and the prior precision S^-1."""
+
+    precision: SymmetricMatrix
     t_opt: SymmetricMatrix
+    prior_precision: SymmetricMatrix
     objective_trace: list = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
@@ -192,6 +197,12 @@ class SolveResult:
     constraint_residual: float | None = None
     kkt_violation: float | None = None
     support_estimate_raw: SupportPattern | None = None
+
+    @property
+    def lambda_opt(self) -> SymmetricMatrix:
+        """The multiplier L = K - S^-1: a zeroed free entry gives -S^-1."""
+        return SymmetricMatrix._of_packed(
+            self.precision.dim, self.precision.packed() - self.prior_precision.packed())
 
     def to_report(self) -> dict:
         """Scalar convergence data for the JSON report."""
@@ -237,7 +248,8 @@ def primal_from_dual(lam: SymmetricMatrix,
 
 class _Penalty:
     """The penalty of one solve in K (module docstring) on the packed mask
-    ``free``: sum weight * |K_ij|, each weight 0 where it does not apply."""
+    ``free``, whose positions are ``index`` (a basic slice when every entry
+    is free): sum weight * |K_ij|, each weight 0 where it does not apply."""
 
     def __init__(self, spec: PenaltySpec, prior_support: SupportPattern):
         prior = prior_support.packed()
@@ -251,7 +263,8 @@ class _Penalty:
         # PenaltySpec sets exactly the weights of its kind; the rest are None.
         weight = ~_packed_diagonal(prior_support.dim) * np.where(
             prior, spec.gamma_n or spec.eta_n or 0.0, spec.gamma_p or spec.eta_p or 0.0)
-        self.weight = weight[self.free]
+        self.index = slice(None) if self.free.all() else np.flatnonzero(self.free)
+        self.weight = weight[self.index]
 
     def on(self, index) -> "_Penalty":
         """The prox of this penalty on the free entries at the positions
@@ -276,7 +289,7 @@ def _prox(lam: SymmetricMatrix, step: float, spec: PenaltySpec,
     if step <= 0:
         raise ValueError("step must be positive")
     penalty = _Penalty(spec, prior_support)
-    free = penalty.free
+    free = penalty.index
     anchor = np.where(prior_support.packed()[free] & (penalty.weight > 0.0),
                       s_inv.packed()[free], 0.0)
     out = np.zeros(lam.packed().size)
@@ -328,6 +341,18 @@ def _bb_step(delta: np.ndarray, dg: np.ndarray, metric: np.ndarray) -> float:
     norm = float(np.dot(dg, dg / metric))  # 0 only when it underflows
     step = curvature / norm if norm > 0.0 else _BB_STEP_MAX
     return min(max(step, _BB_STEP_MIN), _BB_STEP_MAX)
+
+
+def _active_set(w: np.ndarray, weight: np.ndarray, k: np.ndarray,
+                last: np.ndarray | None) -> np.ndarray:
+    """The index set I = A at the iterate k, on the free entries, with free
+    gradient w and penalty weights ``weight``: the positions whose trial can
+    leave 0 (module docstring) and k's nonzeros. Off the index set ``last``
+    of the move that reached k (the whole free set when None), k is exactly
+    0, so its nonzeros are found on ``last`` alone."""
+    active = np.abs(w) > weight
+    active[np.flatnonzero(k) if last is None else last[k[last] != 0.0]] = True
+    return np.flatnonzero(active)
 
 
 def random_feasible_start(s_inv: SymmetricMatrix, seed: int,
@@ -387,32 +412,23 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
         raise ValueError("initial multiplier dimension does not match the model")
     s_inv = model.precision.packed()
     pen = _Penalty(penalty, model.precision_support)
-    base, at, rows, cols = _free_layout(s_inv, pen.free)
-    s_free = s_inv[pen.free]
+    base, at, rows, cols = _free_layout(s_inv, pen.index)
+    s_free = s_inv[pen.index]  # a view when every entry is free
     # One weight for tr(T_hat X) = t_w . x and for the gradient (docstring).
-    weight = _pair_weight(dim)[pen.free]
-    curvature_weight = 0.5 * weight * weight
-    t_w = weight * t_hat.packed()[pen.free]
+    weight = _pair_weight(dim)[pen.index]
+    t_w = weight * t_hat.packed()[pen.index]
     # The trace reports the objective in L, the one in K less t_w . s_free.
     offset = float(np.dot(t_w, s_free))
     # Hard-constrained kinds start inside their subspace.
-    k = s_free if lam0 is None else s_free + lam0.packed()[pen.free]
+    k = s_free.copy() if lam0 is None else s_free + lam0.packed()[pen.index]
     # The index set I, chosen once per fit (docstring); _i marks a part on I.
     on_active_set = k.size >= _ACTIVE_SET_MIN
-    index, pen_i, t_w_i, at_i = slice(None), pen, t_w, at
-    curvature_i, rows_i, cols_i = curvature_weight, rows, cols
 
-    def restrict(w, nonzero):
-        # I = A at the iterate k with free gradient w: the entries whose
-        # trial can leave 0 (module docstring) and k's nonzeros, at the
-        # positions ``nonzero``. Off the last I, k is exactly 0, so its
-        # nonzeros are found on that I alone.
-        nonlocal index, pen_i, t_w_i, at_i, curvature_i, rows_i, cols_i
-        active = np.abs(w) > pen.weight
-        active[nonzero] = True
-        index = np.flatnonzero(active)
-        pen_i, t_w_i, at_i = pen.on(index), t_w[index], at[index]
-        curvature_i, rows_i, cols_i = curvature_weight[index], rows[index], cols[index]
+    def parts_on(index):
+        # I = index and the parts on it.
+        weight_i = weight[index]
+        return (index, pen.on(index), t_w[index], at[index],
+                0.5 * weight_i * weight_i, rows[index], cols[index])
 
     def objective(x, magnitude, log_det):
         # Composite objective at K with x on I and 0 on the rest of the free
@@ -449,8 +465,8 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
             raise ValueError("initial multiplier is infeasible")
         log_det, full_inv = _log_det_of_factor(factor), _lower_inverse(factor)
     grad = gradient(full_inv)
-    if on_active_set:
-        restrict(grad[2], np.flatnonzero(k))
+    index, pen_i, t_w_i, at_i, curvature_i, rows_i, cols_i = parts_on(
+        _active_set(grad[2], pen.weight, k, None) if on_active_set else slice(None))
     k_i, w_i, metric = k[index], grad[2][index], metric_on(grad)
 
     f_total = objective(k_i, np.abs(k_i), log_det)
@@ -516,34 +532,44 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
         w_i = w_new
         if on_active_set:
             k[index] = k_i
-            restrict(grad[2], index[k_i != 0.0])
+            # Off the last I, k is exactly 0 (_active_set).
+            index, pen_i, t_w_i, at_i, curvature_i, rows_i, cols_i = parts_on(
+                _active_set(grad[2], pen.weight, k, index))
             k_i, w_i, metric = k[index], grad[2][index], metric_on(grad)
 
     k[index] = k_i
-    full_inv, _, w = grad
+    full_inv, inv, w = grad
     # The minimum-norm subgradient of the objective at k over the whole free
-    # set, in the packed convention: the check that I dropped no entry.
-    kkt = np.where(k != 0.0, np.abs(w + np.copysign(pen.weight, k)),
-                   np.maximum(np.abs(w) - pen.weight, 0.0))
+    # set, in the packed convention: the check that I dropped no entry. It is
+    # max(|w_e| - weight_e, 0) where k_e = 0, and |w_e + weight_e sign k_e|
+    # where not.
+    kkt = np.abs(w)
+    kkt -= pen.weight
+    nonzero = np.flatnonzero(k)
+    kkt[nonzero] = np.abs(w[nonzero] + np.copysign(pen.weight[nonzero], k[nonzero]))
     # K as iterated: zeros survive, and a zeroed free entry gives L = -S^-1.
-    k_opt = s_inv.copy()
-    k_opt[pen.free] = k
-    lam = k_opt - s_inv
+    if isinstance(pen.index, slice):  # every entry is free
+        k_opt = k
+    else:
+        k_opt = s_inv.copy()
+        k_opt[pen.index] = k
     k_scale = float(np.max(np.abs(k_opt)))
+    precision = SymmetricMatrix._of_packed(dim, k_opt)
     result = SolveResult(
-        lambda_opt=SymmetricMatrix(dim, lam),
-        t_opt=SymmetricMatrix(dim, _tril_of(full_inv)),
+        precision=precision,
+        t_opt=SymmetricMatrix._of_packed(dim, _tril_of(full_inv), precision),
+        prior_precision=model.precision,
         objective_trace=trace,
         iterations=iterations,
         converged=converged,
         kkt_violation=float(np.max(kkt, initial=0.0)),
-        support_estimate_raw=support_of(SymmetricMatrix(dim, k_opt),
-                                        _SUPPORT_REL_TOL * k_scale),
+        support_estimate_raw=support_of(precision, _SUPPORT_REL_TOL * k_scale),
     )
     if penalty.kind == "known":
-        # w is the free gradient at the returned L.
-        result.duality_gap = float(np.dot(w, lam[pen.free]))
-        diff = grad[1] - t_hat.packed()[pen.free]
+        # w is the free gradient at the returned L, whose free entries are
+        # k - s_free.
+        result.duality_gap = float(np.dot(w, k - s_free))
+        diff = inv - t_hat.packed()[pen.index]
         result.constraint_residual = float(np.sqrt(np.dot(weight * diff, diff)))
     return result
 

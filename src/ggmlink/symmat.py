@@ -11,10 +11,11 @@ unordered pair, read back canonically with i >= j.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 
 import numpy as np
-from scipy.linalg import blas, lapack
+from scipy.linalg import cython_blas, lapack
 
 
 def _packed_size(dim: int) -> int:
@@ -65,6 +66,16 @@ def _packed_rows_cols(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+@functools.lru_cache(maxsize=8)
+def _packed_offsets(dim: int) -> np.ndarray:
+    """Read-only offsets of the packed entries in a Fortran-ordered full
+    array of order dim, in packed order."""
+    rows, cols = _packed_rows_cols(dim)
+    at = rows + dim * cols
+    at.setflags(write=False)
+    return at
+
+
 def _check_dims(a, b) -> None:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -80,10 +91,12 @@ class SymmetricMatrix:
     """Immutable dense symmetric matrix of order ``dim``.
 
     Only the lower triangle (including the diagonal) is stored; reads of
-    (i, j) and (j, i) hit the same entry. Indices are 1-based.
+    (i, j) and (j, i) hit the same entry. Indices are 1-based. A matrix
+    may carry its known inverse, which only code that computed both sets
+    (_of_packed); arithmetic and files never pass it on.
     """
 
-    __slots__ = ("dim", "_packed")
+    __slots__ = ("dim", "_packed", "_inverse")
 
     def __init__(self, dim: int, packed: np.ndarray):
         if dim < 1:
@@ -93,9 +106,19 @@ class SymmetricMatrix:
             raise ValueError(f"packed triangle has {packed.size} entries, "
                              f"expected {_packed_size(dim)} for dim {dim}")
         packed.setflags(write=False)
-        self.dim, self._packed = dim, packed
+        self.dim, self._packed, self._inverse = dim, packed, None
 
     # ---- constructors ----
+
+    @classmethod
+    def _of_packed(cls, dim: int, packed: np.ndarray,
+                   inverse: "SymmetricMatrix | None" = None) -> "SymmetricMatrix":
+        """Matrix that takes over a new packed float64 triangle, unchecked,
+        with its known inverse when the caller computed both."""
+        packed.setflags(write=False)
+        out = cls.__new__(cls)
+        out.dim, out._packed, out._inverse = dim, packed, inverse
+        return out
 
     @classmethod
     def from_array(cls, arr, tol: float = 1e-12) -> "SymmetricMatrix":
@@ -295,33 +318,37 @@ def cholesky(a: SymmetricMatrix):
 
 def _chol_or_none(dim: int, packed: np.ndarray, base=None, at=None):
     """Lower Cholesky factor of the matrix that is ``base`` (a full array, or
-    zero) with the values ``packed`` at the offsets ``at`` of a Fortran-ordered
-    full array (the packed triangle by default); None if it is not positive
-    definite."""
+    zero when None) with the values ``packed`` at the offsets ``at`` of a
+    Fortran-ordered full array (the packed triangle by default); None if it
+    is not positive definite."""
     # potrf can report success on NaN or inf, which are never PD.
     if not np.isfinite(packed).all():
         return None
-    # potrf reads only the lower triangle, so the upper half stays zero; it
-    # factors a Fortran-ordered buffer in place, without a copy.
+    # potrf reads and writes only the lower triangle, so the upper half
+    # stays zero with no clean pass; it factors a Fortran-ordered buffer in
+    # place, without a copy.
     full = np.zeros((dim, dim), order="F") if base is None else base.copy(order="F")
-    if at is None:
-        full[_lower_mask(dim)] = packed
-    else:
-        full.ravel(order="F")[at] = packed  # a view of the Fortran-ordered buffer
-    factor, info = lapack.dpotrf(full, lower=1, clean=1, overwrite_a=1)
+    full.ravel(order="F")[_packed_offsets(dim) if at is None else at] = packed
+    factor, info = lapack.dpotrf(full, lower=1, clean=0, overwrite_a=1)
     return factor if info == 0 else None
 
 
-def _free_layout(base: np.ndarray, free: np.ndarray):
-    """(base, at, rows, cols) for triangles equal to ``base`` off the packed
-    mask ``free``: the base of _chol_or_none, zero on the free entries so
-    that values scattered on a part of them leave the rest zero; the offsets
-    of the free entries in a Fortran-ordered full array, for _chol_or_none
-    and _gather; and their 0-based rows and columns, all in packed order."""
-    full = _lower_full(np.where(free, 0.0, base))
-    rows, cols = _packed_rows_cols(len(full))
-    rows, cols = rows[free], cols[free]
-    return full, rows + len(full) * cols, rows, cols
+def _free_layout(base: np.ndarray, index):
+    """(base, at, rows, cols) for triangles equal to ``base`` off the free
+    entries at the packed positions ``index`` (a basic slice when every
+    entry is free): the base of _chol_or_none, zero on the free entries so
+    that values scattered on a part of them leave the rest zero, and None
+    where it is zero everywhere; the offsets of the free entries in a
+    Fortran-ordered full array, for _chol_or_none and _gather; and their
+    0-based rows and columns, all in packed order."""
+    dim = int(np.sqrt(2 * base.size))  # the size is dim (dim + 1) / 2
+    full = None
+    if np.delete(base, index).any():
+        fixed = base.copy()
+        fixed[index] = 0.0
+        full = _lower_full(fixed)
+    rows, cols = _packed_rows_cols(dim)
+    return full, _packed_offsets(dim)[index], rows[index], cols[index]
 
 
 def _gather(full: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -353,21 +380,60 @@ def _factor_or_raise(a: SymmetricMatrix, message: str) -> np.ndarray:
 _INVERSE_LEAF = 64
 
 
-def _invert_lower(block: np.ndarray) -> None:
-    """Invert the lower triangle of ``block`` in place by halves, [[A, 0],
-    [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]: trmm runs at gemm rates,
-    trtri does not (Elmroth, Gustavson, Jonsson & Kagstrom, SIAM Rev. 2004)."""
-    if len(block) <= _INVERSE_LEAF:
+def _blas_routine(name: str, nargs: int):
+    """The BLAS routine ``name`` that scipy's own wrappers call, as a C
+    function of ``nargs`` pointers, which scipy.linalg.cython_blas exports.
+    Unlike the f2py wrapper it takes leading dimensions, so it works in
+    place on a block of a larger array."""
+    capsule = cython_blas.__pyx_capi__[name]
+    name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    pointer_of = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(
+        pointer_of(capsule, name_of(capsule)))
+
+
+_dtrmm = _blas_routine("dtrmm", 11)
+_LOWER, _RIGHT, _NONE = (ctypes.byref(ctypes.c_char(c)) for c in (b"L", b"R", b"N"))
+_ONE, _MINUS_ONE = (ctypes.byref(ctypes.c_double(v)) for v in (1.0, -1.0))
+
+
+def _invert_lower(full: np.ndarray, start: int = 0, order: int | None = None) -> None:
+    """Invert in place the lower triangle of the diagonal block of this order
+    (all of ``full`` by default) at (start, start) of ``full``, by halves,
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]: trmm runs at gemm
+    rates, trtri does not (Elmroth, Gustavson, Jonsson & Kagstrom, SIAM Rev.
+    2004). Both trmm work on their blocks where they lie in ``full``, by
+    leading dimension, so no large block is copied."""
+    if order is None:
+        order = len(full)
+    if order <= _INVERSE_LEAF:
+        block = full[start:start + order, start:start + order]
         inv, info = lapack.dtrtri(block, lower=1, overwrite_c=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"trtri failed with info {info}")
         block[...] = inv  # a strided view is inverted in a copy
         return
-    k = len(block) // 2
-    _invert_lower(block[:k, :k])
-    _invert_lower(block[k:, k:])
-    b = blas.dtrmm(1.0, block[:k, :k], block[k:, :k], side=1, lower=1)
-    block[k:, :k] = blas.dtrmm(-1.0, block[k:, k:], b, lower=1, overwrite_b=1)
+    k = order // 2
+    _invert_lower(full, start, k)
+    _invert_lower(full, start + k, order - k)
+    dim = len(full)
+    if not (full.shape == (dim, dim) and full.flags.f_contiguous
+            and full.dtype == np.float64):
+        raise ValueError("expected a square Fortran-ordered float64 array")
+    base, lead = full.ctypes.data, ctypes.byref(ctypes.c_int(dim))
+
+    def at(i, j):
+        # The address of full[i, j].
+        return ctypes.c_void_p(base + 8 * (i + dim * j))
+
+    rows, cols = ctypes.byref(ctypes.c_int(order - k)), ctypes.byref(ctypes.c_int(k))
+    # B := B A^-1, then B := -C^-1 B.
+    _dtrmm(_RIGHT, _LOWER, _NONE, _NONE, rows, cols, _ONE, at(start, start), lead,
+           at(start + k, start), lead)
+    _dtrmm(_LOWER, _LOWER, _NONE, _NONE, rows, cols, _MINUS_ONE, at(start + k, start + k),
+           lead, at(start + k, start), lead)
 
 
 def _lower_inverse(factor: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import settings
 
 from ggmlink import ScenarioSpec, SymmetricMatrix
@@ -35,6 +36,18 @@ def make_instance(seed, dim=6, density=0.3, n_add=1, n_remove=1, n_obs=300):
         seed=int(state[1])))
     t_hat = sample_covariance(draw_samples(truth.covariance, n_obs, int(state[2])))
     return prior, truth, t_hat
+
+
+def pytest_report_header(config):
+    """The BLAS of numpy and of scipy: the digests that pinned tests record
+    move with the BLAS that rounds, so a failure on another host shows at
+    once which one ran."""
+    lines = []
+    for module in (np, scipy):
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        lines.append(f"{module.__name__} {module.__version__}: BLAS "
+                     f"{blas.get('name')} {blas.get('version')}")
+    return lines
 
 
 @pytest.fixture

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import lapack
 
 from ggmlink import (
+    PenaltySpec,
     SupportPattern,
     SymmetricMatrix,
     common_neighbors,
@@ -14,11 +16,14 @@ from ggmlink import (
     inverse,
     nlp_reversed_baseline,
     plp_baseline,
+    read_matrix,
     score_matrix,
+    solve,
     threshold_support,
+    write_matrix,
 )
-from ggmlink.predict import _top_k
-from conftest import random_pd
+from ggmlink.predict import SCORE_VARIANTS, _top_k
+from conftest import make_instance, random_pd
 
 
 def pattern_from_edges(dim, edges):
@@ -69,6 +74,75 @@ class TestScoreMatrix:
     def test_non_pd_rejected(self):
         with pytest.raises(ValueError):
             score_matrix(SymmetricMatrix.from_array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+@pytest.fixture
+def potrf_calls(monkeypatch):
+    """The number of LAPACK Cholesky factorizations made so far."""
+    calls = []
+    potrf = lapack.dpotrf
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return potrf(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dpotrf", counting)
+    return calls
+
+
+@pytest.fixture(scope="module", params=["plp", "nlp"])
+def fit(request):
+    prior, _, t_hat = make_instance(5, dim=12, density=0.3, n_add=2, n_remove=2,
+                                    n_obs=500)
+    return solve(prior, t_hat, PenaltySpec.from_gamma(request.param, 0.1))
+
+
+class TestScoreFromKnownInverse:
+    # solve's t_opt carries the K it iterated on as its known inverse, so
+    # scoring it needs no factorization. Any other matrix is factored.
+    def test_t_opt_is_scored_without_a_factorization(self, fit, potrf_calls):
+        for variant in SCORE_VARIANTS:
+            score_matrix(fit.t_opt, variant)
+        assert len(potrf_calls) == 0
+        score_matrix(SymmetricMatrix(fit.t_opt.dim, fit.t_opt.packed()))
+        assert len(potrf_calls) == 1
+
+    @pytest.mark.parametrize("variant", SCORE_VARIANTS)
+    def test_scores_agree_with_a_factored_copy(self, fit, variant):
+        plain = SymmetricMatrix(fit.t_opt.dim, fit.t_opt.packed())
+        np.testing.assert_allclose(score_matrix(fit.t_opt, variant).packed(),
+                                   score_matrix(plain, variant).packed(),
+                                   rtol=0, atol=1e-12)
+
+    def test_scores_are_zero_where_k_is(self, fit):
+        zero = fit.precision.packed() == 0.0
+        assert zero.any()
+        assert np.all(score_matrix(fit.t_opt).packed()[zero] == 0.0)
+
+    def test_k_is_held_once(self, fit):
+        assert fit.t_opt._inverse is fit.precision
+        np.testing.assert_array_equal(
+            fit.lambda_opt.packed(),
+            fit.precision.packed() - fit.prior_precision.packed())
+
+    def test_derived_matrices_carry_no_inverse(self, fit, potrf_calls):
+        t = fit.t_opt
+        derived = (t * 1.0, 1.0 * t, t + SymmetricMatrix.zeros(t.dim),
+                   t - SymmetricMatrix.zeros(t.dim),
+                   SymmetricMatrix.from_array(t.to_array()),
+                   SymmetricMatrix(t.dim, t.packed()))
+        for matrix in derived:
+            assert matrix._inverse is None
+            score_matrix(matrix)
+        assert len(potrf_calls) == len(derived)
+        # -T is no covariance: its factorization fails.
+        assert (-t)._inverse is None
+        with pytest.raises(ValueError, match="positive definite"):
+            score_matrix(-t)
+
+    def test_files_carry_no_inverse(self, fit, tmp_path):
+        write_matrix(fit.t_opt, tmp_path / "t_opt.txt")
+        assert read_matrix(tmp_path / "t_opt.txt")._inverse is None
 
 
 class TestThresholdSupport:

@@ -1090,14 +1090,16 @@ class TestActiveSet:
 
 class TestActiveSetPinned:
     # A plp fit at dim 70 (2,485 free entries) runs on the active set at the
-    # default crossover. Its trace, t_opt and iteration count are pinned to
-    # recorded digests, so a change to how A is formed or to the buffers the
-    # kernels work in that moves one bit fails here. The leaf is pinned too,
-    # so that the digests do not move with the inverse's tuning: at 128 an
-    # order-70 factor is one leaf. The digests are those of OpenBLAS 0.3.31
-    # on x86-64 (Haswell kernels); a BLAS that rounds differently, in the
-    # draw or in the kernels, moves them. The next test guards the same
-    # change to A on any BLAS.
+    # default crossover. Its trace, t_opt, L and iteration count are pinned
+    # to recorded digests, so a change to how A is formed or to the buffers
+    # the kernels work in that moves one bit fails here. The leaf is pinned
+    # too, so that the digests do not move with the inverse's tuning: at 128
+    # an order-70 factor is one leaf. The digests were recorded on x86-64
+    # (Haswell kernels), where the LAPACK and BLAS kernels run on scipy's
+    # bundled OpenBLAS 0.3.30 and only numpy's matmul, in the sample
+    # covariance, on numpy's OpenBLAS 0.3.31 (the test header prints both).
+    # A BLAS that rounds differently, in the draw or in the kernels, moves
+    # them. The two tests after it guard A on any BLAS.
     def test_fit_matches_recorded_digests(self, monkeypatch):
         monkeypatch.setattr(symmat_module, "_INVERSE_LEAF", 128)
         prior, _, t_hat = make_instance(2, dim=70, density=0.05, n_add=3,
@@ -1109,6 +1111,32 @@ class TestActiveSetPinned:
             "a7742b9fbf132c239f7ac4d6a15ad1b5698f36d49b6852c34582263eddf657a5")
         assert hashlib.sha256(res.t_opt.packed().tobytes()).hexdigest() == (
             "6be97677759979f440b3f366b87db7f6107e692ed963516d15c0d754835abb32")
+        assert hashlib.sha256(res.lambda_opt.packed().tobytes()).hexdigest() == (
+            "6664f599fc07815eeb97493e99ad09211c6da9c695a79c824984631d7f6f61bb")
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.1, 0.2])
+    def test_index_set_holds_every_nonzero_of_k(self, monkeypatch, gamma):
+        # Off I the loop neither moves k nor scatters it into the matrix it
+        # factors, so I must hold every nonzero of k at every accepted
+        # iterate. The check wraps _active_set, which receives the whole
+        # free k, and needs no recorded digest.
+        active_set = solver_module._active_set
+        sizes = []
+
+        def checked(w, weight, k, last):
+            index = active_set(w, weight, k, last)
+            assert np.isin(np.flatnonzero(k), index).all()
+            sizes.append(index.size)
+            return index
+
+        monkeypatch.setattr(solver_module, "_active_set", checked)
+        prior, _, t_hat = make_instance(2, dim=70, density=0.05, n_add=3,
+                                        n_remove=0, n_obs=280)
+        res = solve(prior, t_hat, PenaltySpec.plp(gamma))
+        assert res.converged
+        # One index set for the start and one per accepted iterate.
+        assert len(sizes) == res.iterations + 1
+        assert 0 < max(sizes) < prior.dim * (prior.dim + 1) // 2
 
     @pytest.mark.parametrize("gamma", [0.05, 0.1, 0.2])
     def test_fit_agrees_with_the_whole_free_set(self, monkeypatch, gamma):

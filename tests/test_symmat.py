@@ -1,5 +1,7 @@
 """Symmetric-matrix kernel and support-pattern algebra."""
 
+import gc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -350,6 +352,21 @@ class TestPackedKernels:
         expected = _packed_inverse(_chol_or_none(dim, a.packed()))
         assert _lower_inverse(factor) is factor
         assert _tril_of(factor).tobytes() == expected.tobytes()
+
+    def test_lower_inverse_leaves_no_reference_cycle(self):
+        # A cycle through the factor would keep its buffer alive until the
+        # collector runs: at order 400, buffers piling up that way raised a
+        # scale-fit run's peak memory from about 140 MB to 240 MB.
+        dim = 2 * _INVERSE_LEAF + 1
+        factor = _chol_or_none(dim, random_pd(dim, np.random.default_rng(dim)).packed())
+        gc.collect()
+        gc.disable()
+        try:
+            _lower_inverse(factor)
+            del factor
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("dim", [3, 2 * _INVERSE_LEAF + 1])
     def test_packed_inverse_raises_on_a_zero_diagonal(self, dim):
