@@ -359,9 +359,10 @@ def load_observations(path) -> ObservationSet:
 
 
 def save_metadata(meta: dict, path) -> None:
+    # One write: json.dump writes each token on its own.
+    text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_metadata(path) -> dict:

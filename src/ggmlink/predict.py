@@ -122,15 +122,25 @@ def _top_k(prior_support: SupportPattern, pool: SupportPattern, k: int,
            descending: bool):
     """The first k off-diagonal pairs of ``pool`` by the prior's
     common-neighbors count, as a pattern, and whether the k-th and the
-    (k+1)-th scores tie. Packed order is the sorted order of the pairs and
-    the sort is stable, so equal scores keep lexicographic order."""
+    (k+1)-th scores tie. Equal scores keep lexicographic order, which is
+    packed order: the k pairs are those that rank before the k-th score and
+    the first ones at it, what a stable sort would choose. A partition
+    finds the k-th score in linear time, with no sort; the (k+1)-th ties it
+    when more than k pairs reach it."""
     index = np.flatnonzero(pool.packed())
     scores = common_neighbors(prior_support).packed()[index]
-    order = np.argsort(-scores if descending else scores, kind="stable")
-    ties = 0 < k < index.size and bool(scores[order[k - 1]] == scores[order[k]])
+    keys = -scores if descending else scores
     chosen = np.zeros_like(pool.packed())
-    chosen[index[order[:k]]] = True
-    return SupportPattern._of_packed(pool.dim, chosen), ties
+    if not 0 < k < index.size:  # none or all of the pool
+        chosen[index[:k]] = True
+        return SupportPattern._of_packed(pool.dim, chosen), False
+    kth = np.partition(keys, k - 1)[k - 1]
+    ahead = keys < kth
+    n_ahead = int(np.count_nonzero(ahead))
+    level = np.flatnonzero(keys == kth)
+    chosen[index[ahead]] = True
+    chosen[index[level[:k - n_ahead]]] = True
+    return SupportPattern._of_packed(pool.dim, chosen), n_ahead + level.size > k
 
 
 def plp_baseline(prior_support: SupportPattern, k: int) -> PredictionReport:

@@ -1,6 +1,7 @@
 """Gaussian model domain logic: likelihood, divergence, sampling, scenarios."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -380,6 +381,19 @@ class TestSerialization:
         path = tmp_path / "meta.json"
         ggm.save_metadata(meta, path)
         assert ggm.load_metadata(path) == meta
+
+    def test_metadata_bytes_are_json_dump(self, tmp_path):
+        # The report is written in one call; its bytes are those of
+        # json.dump with the same settings and a final newline.
+        meta = {"solve": {"iterations": 7, "converged": True, "gap": None,
+                          "objective": [0.1, -2.5e-17, 1e300]},
+                "label": "\u00e9t\u00e9 x", "z": [], "a": {}, "t_r": 1e-4}
+        path = tmp_path / "meta.json"
+        ggm.save_metadata(meta, path)
+        with open(tmp_path / "dump.json", "w", encoding="utf-8") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        assert path.read_bytes() == (tmp_path / "dump.json").read_bytes()
 
 
 class TestGaussianModel:

@@ -504,3 +504,38 @@ class TestArrayFormsMatchLoops:
         for report in (plp_baseline(cycle, 2), nlp_reversed_baseline(cycle, 2)):
             assert report.ties is True
             assert_report_json_ready(report)
+
+
+def stable_sort_top_k(prior, pool, k, descending):
+    """_top_k by a stable sort of every candidate: the ranking that the
+    partition in _top_k must reproduce, pairs, tie order and flag."""
+    index = np.flatnonzero(pool.packed())
+    scores = common_neighbors(prior).packed()[index]
+    order = np.argsort(-scores if descending else scores, kind="stable")
+    ties = 0 < k < index.size and bool(scores[order[k - 1]] == scores[order[k]])
+    chosen = np.zeros_like(pool.packed())
+    chosen[index[order[:k]]] = True
+    return SupportPattern._of_packed(prior.dim, chosen), ties
+
+
+class TestTopKByPartition:
+    @pytest.mark.parametrize("dim,density", [(20, 0.3), (40, 0.1), (60, 0.05)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_stable_sort(self, dim, density, seed):
+        # Counts of common neighbors are small integers, so most scores
+        # tie and the boundary often falls inside a run of equal scores.
+        rng = np.random.default_rng(seed)
+        size = dim * (dim + 1) // 2
+        diagonal = SupportPattern.diagonal(dim)
+        prior = SupportPattern._of_packed(dim, rng.random(size) < density).union(diagonal)
+        pools = [prior.complement().minus(diagonal), prior.minus(diagonal),
+                 SupportPattern._of_packed(dim, rng.random(size) < 0.5).minus(diagonal)]
+        tied = 0
+        for pool in pools:
+            n = len(pool)
+            for k in sorted({0, 1, 2, 3, n // 3, n // 2, n - 1, n} & set(range(n + 1))):
+                for descending in (True, False):
+                    got = _top_k(prior, pool, k, descending)
+                    assert got == stable_sort_top_k(prior, pool, k, descending)
+                    tied += got[1]
+        assert tied > 0

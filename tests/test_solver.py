@@ -27,9 +27,11 @@ from ggmlink import (
     random_feasible_start,
     random_model,
     sample_covariance,
+    score_matrix,
     solve,
     solve_known_support,
     support_of,
+    threshold_support,
 )
 from ggmlink import solver as solver_module
 from ggmlink import symmat as symmat_module
@@ -1154,6 +1156,111 @@ class TestActiveSetPinned:
         assert active.kkt_violation <= 1e-6
         np.testing.assert_allclose(active.t_opt.packed(), whole.t_opt.packed(),
                                    rtol=0, atol=1e-6 * np.max(np.abs(whole.t_opt.packed())))
+
+
+class TestNewtonMoves:
+    # Desk-size fits take Newton moves at the default bound. Setting
+    # _NEWTON_MAX to 0 turns them off, as TestActiveSetPinned pins
+    # _INVERSE_LEAF.
+    @pytest.mark.parametrize("kind,dim", [("plp", 4), ("plp", 7), ("plp", 10),
+                                          ("nlp", 5), ("nlp", 8), ("nlp", 10)])
+    def test_hessian_matches_finite_differences(self, monkeypatch, kind, dim):
+        # Every H_SS the loop forms, from the arguments the loop passes,
+        # must be the Jacobian on S of the loop's own free gradient,
+        # _free_gradient, by central differences at the iterate K = W^-1.
+        prior, _, t_hat = make_instance(dim, dim=dim, density=0.4, n_obs=300)
+        hessian, calls = solver_module._newton_hessian, []
+
+        def recording(full, rows, cols, pair_weight):
+            hess = hessian(full, rows, cols, pair_weight)
+            calls.append((full.copy(), rows, cols, hess.copy()))
+            return hess
+
+        monkeypatch.setattr(solver_module, "_newton_hessian", recording)
+        res = solve(prior, t_hat, PenaltySpec.from_gamma(kind, 0.05))
+        assert res.converged and calls
+        # Every packed entry, at its offset in a Fortran-ordered array.
+        rows_all, cols_all = np.nonzero(np.tri(dim, dtype=bool))
+        at = rows_all + dim * cols_all
+        pair_weight = np.where(rows_all == cols_all, 1.0, 2.0)
+
+        def free_gradient(k_full):
+            inv = np.asfortranarray(np.linalg.inv(k_full))
+            return solver_module._free_gradient(inv, at, pair_weight, np.zeros(at.size))[2]
+
+        for full, rows, cols, hess in calls:
+            w_lower = np.tril(full)
+            k_full = np.linalg.inv(w_lower + np.tril(w_lower, -1).T)
+            on_s = rows * (rows + 1) // 2 + cols  # packed positions of S
+            h = 1e-5
+            fd = np.empty_like(hess)
+            for j, (r, c) in enumerate(zip(rows, cols)):
+                bump = np.zeros((dim, dim))
+                bump[r, c] = bump[c, r] = h
+                fd[:, j] = (free_gradient(k_full + bump)
+                            - free_gradient(k_full - bump))[on_s] / (2 * h)
+            np.testing.assert_allclose(hess, fd, rtol=1e-6, atol=1e-6 * np.abs(hess).max())
+
+    @pytest.mark.parametrize("kind,density,n_add,n_remove,gammas", [
+        ("plp", 0.25, 3, 0, (0.02, 0.1, 0.5)),
+        ("nlp", 0.10, 0, 3, (0.1, 0.26, 1.0)),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_agrees_with_the_fit_without_newton_moves(self, monkeypatch, kind, density,
+                                                      n_add, n_remove, gammas, seed):
+        # Desk instances: dim 10, N 1000, the desk sweep's densities and
+        # gammas from its grids.
+        prior, _, t_hat = make_instance(seed, dim=10, density=density, n_add=n_add,
+                                        n_remove=n_remove, n_obs=1000)
+        for gamma in gammas:
+            spec = PenaltySpec.from_gamma(kind, gamma)
+            newton = solve(prior, t_hat, spec)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver_module, "_NEWTON_MAX", 0)
+                plain = solve(prior, t_hat, spec)
+            assert newton.converged and plain.converged
+            diff = frobenius_norm(newton.t_opt - plain.t_opt)
+            assert diff <= 1e-6 * frobenius_norm(plain.t_opt)
+            assert (threshold_support(score_matrix(newton.t_opt), 1e-4)
+                    == threshold_support(score_matrix(plain.t_opt), 1e-4))
+            assert newton.kkt_violation <= 1e-7 and plain.kkt_violation <= 1e-7
+            assert 2 * newton.iterations <= plain.iterations
+
+    def test_flipped_sign_lands_exactly_at_zero(self, monkeypatch):
+        # Start from K = S^-1 plus 0.02 at the absent pair (4, 2), packed
+        # position 7. The first trial keeps the zero pattern of k, so a
+        # Newton move follows, and its full step would carry that entry
+        # past 0. The move sets it to exactly 0.0. Without Newton moves the
+        # first iteration leaves it negative.
+        prior, _, t_hat = make_instance(116, dim=4, density=0.3, n_add=1, n_remove=0,
+                                        n_obs=200)
+        e, gamma = 7, 0.1
+        assert not prior.precision_support.packed()[e]
+        bump = np.zeros(10)
+        bump[e] = 0.02
+        lam0 = SymmetricMatrix(4, bump)
+        k0 = (prior.precision + lam0).packed()
+        support = np.flatnonzero(k0)
+        rows, cols = np.nonzero(np.tri(4, dtype=bool))
+        pair_weight = np.where(rows == cols, 1.0, 2.0)
+        inv = inverse(prior.precision + lam0)
+        w = pair_weight * (t_hat.packed() - inv.packed())
+        penalty = np.where(prior.precision_support.packed() | (rows == cols), 0.0, gamma)
+        g = (w + penalty * np.sign(k0))[support]
+        hess = solver_module._newton_hessian(np.asfortranarray(inv.to_array()),
+                                             rows[support], cols[support],
+                                             pair_weight[support])
+        full_step = k0[support] - np.linalg.solve(hess, g)
+        assert full_step[list(support).index(e)] < 0.0 < k0[e]
+
+        cfg = SolverConfig(max_iters=1)
+        res = solve(prior, t_hat, PenaltySpec.plp(gamma), cfg, lam0=lam0)
+        assert res.iterations == 1
+        assert res.objective_trace[1] < res.objective_trace[0]
+        assert res.precision.packed()[e] == 0.0
+        monkeypatch.setattr(solver_module, "_NEWTON_MAX", 0)
+        plain = solve(prior, t_hat, PenaltySpec.plp(gamma), cfg, lam0=lam0)
+        assert plain.precision.packed()[e] < 0.0
 
 
 @pytest.fixture(scope="class", params=[0, np.inf], ids=["active_set", "whole_set"])
