@@ -331,11 +331,9 @@ def cmd_sweep(root, config: ExperimentConfig, threads: int = 1) -> dict:
             for row in rows]
 
     csv_path = os.path.join(root, f"sweep_{config.penalty_kind}.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {SWEEP_SCHEMA}\n")
-        fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        for row in ordered:
-            fh.write(",".join(_csv_cell(row[c]) for c in SWEEP_COLUMNS) + "\n")
+    lines = [f"# {SWEEP_SCHEMA}", ",".join(SWEEP_COLUMNS)]
+    lines += [",".join(_csv_cell(row[c]) for c in SWEEP_COLUMNS) for row in ordered]
+    symmat._write_text(csv_path, "\n".join(lines) + "\n")
 
     summary = _summarize(ordered, config)
     ggm.save_metadata(summary,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import os
 
 import numpy as np
 from scipy.linalg import cython_blas, lapack
@@ -64,6 +65,17 @@ def _packed_rows_cols(dim: int) -> tuple[np.ndarray, np.ndarray]:
     rows.setflags(write=False)
     cols.setflags(write=False)
     return rows, cols
+
+
+@functools.lru_cache(maxsize=8)
+def _full_positions(dim: int) -> np.ndarray:
+    """Read-only (dim, dim) table of the packed position of each entry of
+    the full matrix, both triangles filled."""
+    at = np.zeros((dim, dim), dtype=np.intp)
+    at[_lower_mask(dim)] = np.arange(_packed_size(dim))
+    at = at + np.tril(at, -1).T
+    at.setflags(write=False)
+    return at
 
 
 @functools.lru_cache(maxsize=8)
@@ -506,15 +518,35 @@ def _support_json(omega: SupportPattern) -> dict:
     return {"dim": omega.dim, "pairs": [list(p) for p in omega.pairs()]}
 
 
+# The flags of open(path, "w"); O_BINARY, on Windows only, turns off newline
+# translation.
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path``, created or truncated with the
+    mode and errors of open(path, "w"): one encode and, unless the system
+    writes part of it, one os.write."""
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+
+
 def _write_lines(path, header: str | None, dim: int, lines: list) -> None:
     head = [f"# {header}"] if header else []
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(head + [str(dim)] + lines) + "\n")
+    _write_text(path, "\n".join(head + [str(dim)] + lines) + "\n")
 
 
 def write_matrix(a: SymmetricMatrix, path, header: str | None = None) -> None:
+    # Each stored entry is formatted once, and the rows are put together
+    # from the texts. Adding 0.0 writes -0.0 as 0.0, as in the full array.
+    texts = np.array(list(map(float.__repr__, (a.packed() + 0.0).tolist())), dtype=object)
     _write_lines(path, header, a.dim,
-                 [" ".join(repr(float(v)) for v in row) for row in a.to_array()])
+                 [" ".join(row) for row in texts[_full_positions(a.dim)].tolist()])
 
 
 def read_matrix(path) -> SymmetricMatrix:

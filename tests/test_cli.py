@@ -2,11 +2,15 @@
 
 import json
 import os
+import random
 import re
 import shutil
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 from ggmlink import SupportPattern, cli, ggm, solver, symmat
@@ -323,6 +327,91 @@ class TestSweep:
         assert row["e_r"] == report["e_r"]
 
 
+# The artifact writers as they were before they shared one os.write and
+# formatted each stored entry once: text-mode files, json.dumps, and
+# repr over the rows of the full array.
+def text_mode_write(path, text):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def full_array_write_matrix(a, path, header=None):
+    head = [f"# {header}"] if header else []
+    rows = [" ".join(repr(float(v)) for v in row) for row in a.to_array()]
+    text_mode_write(path, "\n".join(head + [str(a.dim)] + rows) + "\n")
+
+
+def json_dumps_save_metadata(meta, path):
+    text_mode_write(path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
+
+
+class TestArtifactWrites:
+    def test_tree_matches_the_previous_writers(self, tmp_path, monkeypatch):
+        # generate, sweep and baselines on a dim-6 config, whose fits hold
+        # negative zeros in t_opt, lambda_opt and scores.
+        config = load_config(write_config(tmp_path / "c.json"))
+
+        def write_tree(root):
+            cmd_generate(config, out_dir=root)
+            cmd_sweep(root, config)
+            cmd_baselines(root / "seed_0")
+            return tree_bytes(root)
+
+        shipped = write_tree(tmp_path / "shipped")
+        negative_zeros = []
+
+        def write_matrix(a, *args, **kwargs):
+            negative_zeros.append(np.count_nonzero(np.signbit(a.packed())
+                                                   & (a.packed() == 0.0)))
+            full_array_write_matrix(a, *args, **kwargs)
+
+        for module in (symmat, ggm):
+            monkeypatch.setattr(module, "write_matrix", write_matrix)
+            monkeypatch.setattr(module, "_write_text", text_mode_write)
+        monkeypatch.setattr(ggm, "save_metadata", json_dumps_save_metadata)
+        previous = write_tree(tmp_path / "previous")
+        assert sum(negative_zeros) > 0
+        assert len(shipped) == 2 * 8 + 2 * 3 * 5 + 2 + 2
+        assert shipped == previous
+
+    @pytest.mark.parametrize("target", ["directory", "missing_parent"])
+    @pytest.mark.parametrize("write", [
+        lambda path: symmat.write_matrix(symmat.SymmetricMatrix.identity(2), path),
+        lambda path: symmat.write_support(SupportPattern.diagonal(2), path),
+        lambda path: ggm.save_metadata({"a": 1}, path),
+    ], ids=["matrix", "support", "metadata"])
+    def test_write_errors_are_those_of_open(self, tmp_path, write, target):
+        path = tmp_path if target == "directory" else tmp_path / "missing" / "x.txt"
+        with pytest.raises(OSError) as expected:
+            open(path, "w")
+        with pytest.raises(OSError) as raised:
+            write(path)
+        assert type(raised.value) is type(expected.value)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("case", ["eval_to_directory", "eval_to_missing_parent",
+                                      "sweep_csv_is_a_directory"])
+    def test_cli_write_error_exits_2_naming_the_path(self, tmp_path, capsys, case):
+        support = tmp_path / "s.txt"
+        symmat.write_support(SupportPattern.diagonal(3), support)
+        if case == "sweep_csv_is_a_directory":
+            cfg_path = write_config(tmp_path / "c.json", gamma_grid=[0.1], seeds=[0],
+                                    output_dir=str(tmp_path / "out"))
+            assert main(["generate", "--config", str(cfg_path)]) == 0
+            target = tmp_path / "out" / "sweep_plp.csv"
+            target.mkdir()
+            argv = ["sweep", "--config", str(cfg_path)]
+        else:
+            target = (tmp_path if case == "eval_to_directory"
+                      else tmp_path / "missing" / "e.json")
+            argv = ["eval", str(support), str(support), "--out", str(target)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("I/O error: ") and str(target) in lines[0]
+
+
 def desk_scenario(tmp_path):
     """Config path and seed-0 directory of the desk plp scenario (dim 10,
     density 0.25, three edges added), generated under ``tmp_path``."""
@@ -498,7 +587,8 @@ class TestMalformedFiles:
 
 # Each mutation maps a file's bytes to new bytes. Line edits act on the
 # text's lines; line 0 is a matrix's or support's dimension, and a token
-# edit replaces the first number of the first later line that has one.
+# edit replaces the first number of the first later line that has one, or
+# a number at a seeded, drawn position.
 _NUMBER = re.compile(r"-?\d+(\.\d*)?(e[-+]?\d+)?")
 
 
@@ -510,6 +600,19 @@ def _set_token(token):
     def edit(lines):
         at = next(i for i, ln in enumerate(lines) if i and _NUMBER.search(ln))
         lines[at] = _NUMBER.sub(token, lines[at], count=1)
+        return lines
+    return _on_lines(edit)
+
+
+def _set_token_at(token, draw, name):
+    """Replace a number drawn by a seed of ``draw`` and ``name``: any number
+    of a CSV, or of any line after the first of other files."""
+    def edit(lines):
+        rng = random.Random(f"{name}/{draw}")
+        first = 0 if name.endswith(".csv") else 1
+        row = rng.choice([i for i in range(first, len(lines)) if _NUMBER.search(lines[i])])
+        match = rng.choice(list(_NUMBER.finditer(lines[row])))
+        lines[row] = lines[row][:match.start()] + token + lines[row][match.end():]
         return lines
     return _on_lines(edit)
 
@@ -534,6 +637,17 @@ CONFIG_MUTATIONS = {
     "unbounded_n": _set_config(N=10**15),
     "negative_seed": _set_config(seeds=[-1]),
 }
+# The token mutations again, each at three drawn positions of every file.
+DRAWN_MUTATIONS = {f"{token}@{draw}": (token, draw)
+                   for token in ("nan", "inf", "1e400", "x") for draw in range(3)}
+
+
+def _mutation(name, mutation):
+    if mutation in DRAWN_MUTATIONS:
+        return _set_token_at(*DRAWN_MUTATIONS[mutation], name)
+    return {**MUTATIONS, **CONFIG_MUTATIONS}[mutation]
+
+
 # What each command runs, in a copy of the table's tree: the config c.json
 # and the dim-6 scenario seed_0/ with predicted.txt, a copy of its truth's
 # support.
@@ -600,7 +714,7 @@ MISSING_OK = {
 
 
 class TestMalformedInputTable:
-    """Every file a command reads, under a fixed list of mutations: an
+    """Every file a command reads, under a list of mutations: an
     invalid input exits 1 with one line naming the file, writes nothing
     and prints no traceback; a valid one exits 0 or 3. Removed, a file the
     command needs makes it exit 2 the same way."""
@@ -608,8 +722,8 @@ class TestMalformedInputTable:
     @pytest.mark.parametrize("name, mutation, command", [
         (name, mutation, command)
         for name, commands in READERS.items()
-        for mutation in list(MUTATIONS) + (list(CONFIG_MUTATIONS)
-                                           if name == "c.json" else [])
+        for mutation in list(MUTATIONS) + list(DRAWN_MUTATIONS)
+        + (list(CONFIG_MUTATIONS) if name == "c.json" else [])
         for command in commands])
     def test_one_line_or_valid(self, input_tree, tmp_path, monkeypatch, capsys,
                                name, mutation, command):
@@ -617,8 +731,7 @@ class TestMalformedInputTable:
         shutil.copytree(input_tree, root)
         monkeypatch.chdir(root)
         path = root / name
-        mutate = {**MUTATIONS, **CONFIG_MUTATIONS}[mutation]
-        path.write_bytes(mutate(path.read_bytes()))
+        path.write_bytes(_mutation(name, mutation)(path.read_bytes()))
         before = tree_bytes(root)
         code = main(COMMANDS[command])
         err = capsys.readouterr().err
@@ -714,6 +827,18 @@ class TestBaselines:
 
 
 class TestMainEntry:
+    def test_python_m_runs_from_a_checkout(self, tmp_path):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "src")
+        for name in ("a.txt", "b.txt"):
+            symmat.write_support(SupportPattern.diagonal(3), tmp_path / name)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ggmlink", "eval", "a.txt", "b.txt"], cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["false_positives"] == 0
+
     def test_generate_fit_eval_round_trip(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "c.json")
         assert main(["generate", "--config", str(cfg_path),

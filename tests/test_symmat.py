@@ -421,7 +421,30 @@ class TestSupportOf:
             support_of(SymmetricMatrix.identity(2), -1.0)
 
 
+def full_array_matrix_text(a, header=None):
+    """The matrix file as written before each stored entry was formatted
+    once: repr over the rows of the full array."""
+    head = [f"# {header}"] if header else []
+    rows = [" ".join(repr(float(v)) for v in row) for row in a.to_array()]
+    return "\n".join(head + [str(a.dim)] + rows) + "\n"
+
+
+# Packed triangles that hold exact zeros and negative zeros among other
+# floats, non-finite ones included.
+packed_matrices = st.integers(1, 8).flatmap(lambda dim: st.lists(
+    st.sampled_from([0.0, -0.0]) | st.floats(),
+    min_size=dim * (dim + 1) // 2, max_size=dim * (dim + 1) // 2).map(
+        lambda packed: SymmetricMatrix(dim, packed)))
+
+
 class TestTextFormats:
+    @settings(max_examples=200)
+    @given(packed_matrices, st.sampled_from([None, "", "variant: test"]))
+    def test_matrix_bytes_are_the_full_array_text(self, tmp_path_factory, a, header):
+        path = tmp_path_factory.mktemp("m") / "m.txt"
+        write_matrix(a, path, header=header)
+        assert path.read_bytes() == full_array_matrix_text(a, header).encode()
+
     def test_matrix_round_trip(self, tmp_path, rng):
         a = random_symmetric(5, rng)
         path = tmp_path / "m.txt"
