@@ -12,12 +12,10 @@ solvers rely on.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import numbers
 import os
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -304,7 +302,8 @@ def perturb_model(base: GaussianModel, spec: ScenarioSpec) -> GaussianModel:
 # are derived from it. The covariance file is written but not read; the
 # support file is checked against the precision on load. Observations are a
 # plain numeric CSV, one sample per row. Metadata (a free-form dict) goes to
-# JSON with sorted keys so reruns are byte-identical.
+# compact JSON with sorted keys so reruns are byte-identical. Every file is
+# written with \n line ends.
 
 def save_model(model: GaussianModel, directory, prefix: str) -> None:
     os.makedirs(directory, exist_ok=True)
@@ -340,7 +339,7 @@ def load_support(directory, prefix: str) -> SupportPattern:
 
 
 def save_observations(obs: ObservationSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row in obs.samples.tolist():
             fh.write(",".join(map(repr, row)) + "\n")
 
@@ -362,83 +361,7 @@ def load_observations(path) -> ObservationSet:
 
 
 def save_metadata(meta: dict, path) -> None:
-    _write_text(path, _json_text(meta) + "\n")
-
-
-def _json_text(value) -> str:
-    """The text of json.dumps(value, indent=2, sort_keys=True). With an
-    indent, json.dumps runs its pure-Python encoder, token by token; this
-    renders plain values with one join per list or dict. A value the
-    renderer does not take (TypeError, or IndexError past its depth), a
-    cycle (RecursionError) or an int too long to print (ValueError) goes to
-    json.dumps, which then writes the text or raises its own error."""
-    try:
-        return _json_render(value, 0)
-    except (TypeError, ValueError, IndexError, RecursionError):
-        return json.dumps(value, indent=2, sort_keys=True)
-
-
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# The line break and indent before an item at each nesting level.
-_JSON_BREAKS = tuple("\n" + "  " * level for level in range(32))
-
-
-def _json_render(value, level: int) -> str:
-    """json's text of ``value`` at nesting ``level``, for str-keyed dicts,
-    lists, tuples, str, int, float, bool and None, tested in json's order;
-    TypeError for anything else, and IndexError past _JSON_BREAKS."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _JSON_NON_FINITE.get(text, text)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = _JSON_BREAKS[level + 1]
-        kinds = set(map(type, value))
-        if kinds == {int}:
-            text = ("," + inner).join(map(int.__repr__, value))
-        elif kinds <= {list, tuple} and _all_ints(value):
-            text = _json_int_rows(value, level)
-        else:
-            text = ("," + inner).join([_json_render(v, level + 1) for v in value])
-        return "[" + inner + text + _JSON_BREAKS[level] + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        if set(map(type, value)) != {str}:
-            raise TypeError("a key that is not a str is left to json.dumps")
-        inner = _JSON_BREAKS[level + 1]
-        text = ("," + inner).join([encode_basestring_ascii(k) + ": "
-                                   + _json_render(v, level + 1)
-                                   for k, v in sorted(value.items())])
-        return "{" + inner + text + _JSON_BREAKS[level] + "}"
-    raise TypeError(f"{type(value).__name__} is left to json.dumps")
-
-
-def _all_ints(rows) -> bool:
-    """Whether every row is a nonempty list or tuple of ints."""
-    return (0 not in set(map(len, rows))
-            and set(map(type, itertools.chain.from_iterable(rows))) == {int})
-
-
-def _json_int_rows(rows, level: int) -> str:
-    """The items of a list at ``level`` whose items are rows of ints, such
-    as a support's pairs, in one %-format: "%d" is int.__repr__ on ints."""
-    inner, row = _JSON_BREAKS[level + 1], _JSON_BREAKS[level + 2]
-    forms = {n: "[" + row + ("," + row).join(["%d"] * n) + inner + "]"
-             for n in set(map(len, rows))}
-    return (("," + inner).join(map(forms.__getitem__, map(len, rows)))
-            % tuple(itertools.chain.from_iterable(rows)))
+    _write_text(path, json.dumps(meta, sort_keys=True) + "\n")
 
 
 def load_metadata(path) -> dict:

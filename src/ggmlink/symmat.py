@@ -497,7 +497,13 @@ def support_of(a: SymmetricMatrix, zero_tol: float) -> SupportPattern:
 # ---------------------------------------------------------------------------
 # Matrix file: first line m, then m rows of m whitespace-separated decimals.
 # Support file: first line m, then one "i j" pair per line.
-# Lines starting with '#' are comments and skipped on read.
+# Lines starting with '#' are comments and skipped on read. Data lines are
+# ASCII without '_': int() and float() would also read '2_5' as 25 and any
+# Unicode decimal digit as its value.
+
+def _not_plain(text: str) -> bool:
+    return not text.isascii() or "_" in text
+
 
 @contextlib.contextmanager
 def _data_lines(path, kind: str):
@@ -508,6 +514,10 @@ def _data_lines(path, kind: str):
             lines = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
         if not lines:
             raise ValueError(f"empty {kind} file")
+        bad = next((tok for ln in lines if _not_plain(ln)
+                    for tok in ln.split(" ") if _not_plain(tok)), None)
+        if bad is not None:
+            raise ValueError(f"not an ASCII number: {bad!r}")
         yield int(lines[0]), lines[1:]
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

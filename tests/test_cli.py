@@ -327,9 +327,9 @@ class TestSweep:
         assert row["e_r"] == report["e_r"]
 
 
-# The artifact writers as they were before they shared one os.write and
-# formatted each stored entry once: text-mode files, json.dumps, and
-# repr over the rows of the full array.
+# The artifact writers as they were before they shared one os.write,
+# formatted each stored entry once and wrote compact JSON: text-mode files,
+# json.dumps with an indent, and repr over the rows of the full array.
 def text_mode_write(path, text):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -347,14 +347,20 @@ def json_dumps_save_metadata(meta, path):
 
 class TestArtifactWrites:
     def test_tree_matches_the_previous_writers(self, tmp_path, monkeypatch):
-        # generate, sweep and baselines on a dim-6 config, whose fits hold
-        # negative zeros in t_opt, lambda_opt and scores.
+        # generate, sweep, baselines and one eval --out on a dim-6 config,
+        # whose fits hold negative zeros in t_opt, lambda_opt and scores.
+        # Text files keep the previous writers' bytes; a JSON file holds
+        # json's compact text, with sorted keys, of the previous file's value.
         config = load_config(write_config(tmp_path / "c.json"))
 
         def write_tree(root):
             cmd_generate(config, out_dir=root)
             cmd_sweep(root, config)
             cmd_baselines(root / "seed_0")
+            scenario = str(root / "seed_0")
+            assert main(["eval", f"{scenario}/prior_support.txt",
+                         f"{scenario}/true_support.txt",
+                         "--out", str(root / "eval.json")]) == 0
             return tree_bytes(root)
 
         shipped = write_tree(tmp_path / "shipped")
@@ -371,8 +377,15 @@ class TestArtifactWrites:
         monkeypatch.setattr(ggm, "save_metadata", json_dumps_save_metadata)
         previous = write_tree(tmp_path / "previous")
         assert sum(negative_zeros) > 0
-        assert len(shipped) == 2 * 8 + 2 * 3 * 5 + 2 + 2
-        assert shipped == previous
+        assert len(shipped) == 2 * 8 + 2 * 3 * 5 + 2 + 2 + 1
+        assert shipped.keys() == previous.keys()
+        for name, data in shipped.items():
+            if name.endswith(".json"):
+                value = json.loads(data)
+                assert data == (json.dumps(value, sort_keys=True) + "\n").encode(), name
+                assert value == json.loads(previous[name]), name
+            else:
+                assert data == previous[name], name
 
     @pytest.mark.parametrize("target", ["directory", "missing_parent"])
     @pytest.mark.parametrize("write", [
@@ -630,6 +643,8 @@ MUTATIONS = {
     "inf": _set_token("inf"),
     "1e400": _set_token("1e400"),
     "x": _set_token("x"),
+    "2_5": _set_token("2_5"),
+    "\u0661": _set_token("\u0661"),
     "wrong_dim": _on_lines(lambda lines: ["7"] + lines[1:]),
     "non_utf8": lambda data: data + b"\xff",
 }
@@ -639,7 +654,8 @@ CONFIG_MUTATIONS = {
 }
 # The token mutations again, each at three drawn positions of every file.
 DRAWN_MUTATIONS = {f"{token}@{draw}": (token, draw)
-                   for token in ("nan", "inf", "1e400", "x") for draw in range(3)}
+                   for token in ("nan", "inf", "1e400", "x", "2_5", "\u0661")
+                   for draw in range(3)}
 
 
 def _mutation(name, mutation):
