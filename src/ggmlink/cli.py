@@ -233,17 +233,21 @@ def cmd_fit(scenario_dir, penalty: PenaltySpec,
             score_variant: str = ExperimentConfig.score_variant,
             out_dir=None, *,
             _report: dict | None = None,
-            _scenario: tuple | None = None) -> tuple[SolveResult, PredictionReport | None]:
+            _scenario: tuple | None = None,
+            _lam0: symmat.SymmetricMatrix | None = None,
+            ) -> tuple[SolveResult, PredictionReport | None]:
     """Estimate from one scenario directory: sample covariance, solve,
     score, threshold, evaluate against truth when present; write artifacts.
     The settings default to those of an ExperimentConfig.
     ``_report``, when given, receives the report that report.json holds.
     ``_scenario``, when given, is the ``(prior, obs, truth)`` already
-    loaded from ``scenario_dir``, and the directory is not read again."""
+    loaded from ``scenario_dir``, and the directory is not read again.
+    ``_lam0``, when given, is the multiplier the solve starts from
+    (``solver.solve``'s ``lam0``); without it the fit starts cold."""
     prior, obs, truth = (_scenario if _scenario is not None
                          else _load_scenario(scenario_dir))
     t_hat = ggm.sample_covariance(obs)
-    result = solver.solve(prior, t_hat, penalty, solver_cfg)
+    result = solver.solve(prior, t_hat, penalty, solver_cfg, lam0=_lam0)
     scores = predict.score_matrix(result.t_opt, score_variant)
     predicted = predict.threshold_support(scores, t_r)
 
@@ -287,23 +291,32 @@ def cmd_fit(scenario_dir, penalty: PenaltySpec,
 
 def _sweep_seed(root, seed: int, config: ExperimentConfig) -> list:
     """The rows of every gamma cell of one seed, in grid order. The
-    scenario is loaded once and shared by the cells."""
+    scenario is loaded once and shared by the cells. The first cell starts
+    cold; each later cell starts from the multiplier of the cell before
+    it, when that cell converged, and cold otherwise: neighbouring gammas
+    have nearby optima of one convex problem."""
     scenario_dir = _scenario_dir(root, seed)
     scenario = _load_scenario(scenario_dir)
     if scenario[2] is None:
         raise ValueError(f"{scenario_dir}: sweep needs the true model on disk")
-    return [_sweep_cell(scenario_dir, seed, gamma, config, scenario)
-            for gamma in config.gamma_grid]
+    rows, lam0 = [], None
+    for gamma in config.gamma_grid:
+        row, result = _sweep_cell(scenario_dir, seed, gamma, config,
+                                  scenario, lam0)
+        rows.append(row)
+        lam0 = result.lambda_opt if result.converged else None
+    return rows
 
 
 def _sweep_cell(scenario_dir, seed: int, gamma, config: ExperimentConfig,
-                scenario: tuple) -> dict:
+                scenario: tuple, lam0: symmat.SymmetricMatrix | None,
+                ) -> tuple[dict, SolveResult]:
     penalty = PenaltySpec.from_gamma(config.penalty_kind, gamma)
     # The truth is on hand, so the report carries e_r.
     report: dict = {}
     result, prediction = cmd_fit(
         scenario_dir, penalty, config.solver, config.t_r, config.score_variant,
-        _report=report, _scenario=scenario)
+        _report=report, _scenario=scenario, _lam0=lam0)
     return {
         "seed": seed,
         "gamma": _gamma_label(gamma),
@@ -316,13 +329,16 @@ def _sweep_cell(scenario_dir, seed: int, gamma, config: ExperimentConfig,
         "objective_final": result.objective_trace[-1],
         "predicted_edges": len(prediction.predicted_support.minus(
             symmat.SupportPattern.diagonal(prediction.predicted_support.dim))),
-    }
+    }, result
 
 
 def cmd_sweep(root, config: ExperimentConfig, threads: int = 1) -> dict:
     """Run the seeds on ``threads`` worker threads, each seed's gamma cells
-    in turn on one thread; write the CSV of rows and a summary JSON. Rows
-    keep the (seed, gamma) order."""
+    in grid order on one thread, each later cell warm-started from the cell
+    before it (``_sweep_seed``); write the CSV of rows and a summary JSON.
+    Rows keep the (seed, gamma) order. A cell's trajectory depends only on
+    its seed's earlier cells, so reruns are byte-identical at any
+    ``threads``."""
     if threads < 1:
         raise ValueError("threads must be >= 1")
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:

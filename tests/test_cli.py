@@ -43,6 +43,16 @@ def write_config(path, **overrides):
     return path
 
 
+def fit_alone(scenario_dir, penalty, config, out_dir, **kwargs):
+    """cmd_fit on a scenario directory with the settings of ``config``."""
+    return cmd_fit(scenario_dir, penalty, config.solver, config.t_r,
+                   config.score_variant, out_dir=out_dir, **kwargs)
+
+
+def relative_difference(a, reference):
+    return symmat.frobenius_norm(a - reference) / symmat.frobenius_norm(reference)
+
+
 def tree_bytes(root):
     out = {}
     for dirpath, _, files in os.walk(root):
@@ -242,18 +252,48 @@ class TestSweep:
         assert tree_bytes(tmp_path / "seq") == tree_bytes(tmp_path / "par")
 
     def test_standalone_fit_matches_sweep_cell(self, tmp_path):
-        # The sweep hands its loaded scenario to cmd_fit; a fit that reads
-        # the directory itself must write the same bytes.
+        # The sweep hands its loaded scenario to cmd_fit, starts each seed's
+        # first cell cold and each later one from the cell before it. A fit
+        # that reads the directory itself from the same start writes the
+        # same bytes; a cold fit agrees within criterion 4's tolerance, with
+        # the same predicted support.
         config = load_config(write_config(tmp_path / "c.json"))
         root = tmp_path / "out"
         cmd_generate(config, out_dir=root)
-        cmd_sweep(root, config)
+        rows = cmd_sweep(root, config)["rows"]
+        assert all(r["converged"] for r in rows)
+        for seed in config.seeds:
+            scen = root / f"seed_{seed}"
+            lam0 = None
+            for gamma in config.gamma_grid:
+                cell = scen / f"fit_plp_{gamma:g}"
+                same, cold = (tmp_path / name / f"{seed}_{gamma:g}"
+                              for name in ("same", "cold"))
+                warm, _ = fit_alone(scen, PenaltySpec.plp(gamma), config,
+                                    same, _lam0=lam0)
+                assert tree_bytes(same) == tree_bytes(cell)
+                first, _ = fit_alone(scen, PenaltySpec.plp(gamma), config, cold)
+                assert relative_difference(warm.t_opt, first.t_opt) < 1e-6
+                assert ((cold / "predicted_support.txt").read_bytes()
+                        == (cell / "predicted_support.txt").read_bytes())
+                if lam0 is None:
+                    assert tree_bytes(cold) == tree_bytes(cell)
+                lam0 = warm.lambda_opt
+
+    def test_unconverged_cell_seeds_no_warm_start(self, tmp_path):
+        # Every cell stops at max_iters, so every cell starts cold: each
+        # fit directory is a cold standalone fit's, byte for byte.
+        config = load_config(write_config(
+            tmp_path / "c.json", solver={"max_iters": 2, "grad_tol": 1e-12}))
+        root = tmp_path / "out"
+        cmd_generate(config, out_dir=root)
+        rows = cmd_sweep(root, config)["rows"]
+        assert not any(r["converged"] for r in rows)
         for seed in config.seeds:
             scen = root / f"seed_{seed}"
             for gamma in config.gamma_grid:
                 alone = tmp_path / "alone" / f"{seed}_{gamma:g}"
-                cmd_fit(scen, PenaltySpec.plp(gamma), config.solver,
-                        config.t_r, config.score_variant, out_dir=alone)
+                fit_alone(scen, PenaltySpec.plp(gamma), config, alone)
                 assert tree_bytes(alone) == tree_bytes(scen / f"fit_plp_{gamma:g}")
 
     @pytest.mark.parametrize("threads", [1, 3])
@@ -285,8 +325,8 @@ class TestSweep:
         tril_of, solve = ggm._tril_of, solver.solve
         monkeypatch.setattr(ggm, "_tril_of", lambda arr: (
             products.append(arr.shape) or tril_of(arr)))
-        monkeypatch.setattr(solver, "solve", lambda prior, t_hat, *args: (
-            t_hats.append(t_hat) or solve(prior, t_hat, *args)))
+        monkeypatch.setattr(solver, "solve", lambda prior, t_hat, *args, **kw: (
+            t_hats.append(t_hat) or solve(prior, t_hat, *args, **kw)))
         cmd_sweep(root, config)
         assert len(t_hats) == 2 * len(config.gamma_grid) == 6
         assert len({id(t_hat) for t_hat in t_hats}) == 2
@@ -303,6 +343,39 @@ class TestSweep:
         out = cmd_sweep(root, config)
         assert [r["gamma"] for r in out["rows"]] == ["0.05/0.1", "0.1/0.2"]
         assert (root / "sweep_mixed.csv").exists()
+
+    def test_mixed_sweep_warm_starts_and_agrees_with_cold_fits(
+            self, tmp_path, monkeypatch):
+        # An unsorted grid of (eta_p, eta_n) pairs: every cell after the
+        # first starts from the one before it in grid order, converges, and
+        # agrees with a cold fit within criterion 4's tolerance.
+        grid = [[0.1, 0.2], [0.02, 0.05], [0.3, 0.1], [0.05, 0.3]]
+        config = load_config(write_config(
+            tmp_path / "c.json", penalty_kind="mixed", gamma_grid=grid,
+            scenario={"dim": 6, "edge_density": 0.3, "n_add": 1,
+                      "n_remove": 1, "seed": 0}))
+        root = tmp_path / "out"
+        cmd_generate(config, out_dir=root)
+        starts = []
+        solve = solver.solve
+        monkeypatch.setattr(solver, "solve", lambda *args, lam0=None: (
+            starts.append(lam0) or solve(*args, lam0=lam0)))
+        rows = cmd_sweep(root, config)["rows"]
+        monkeypatch.undo()
+        assert all(r["converged"] for r in rows)
+        warm = [start is not None for start in starts]
+        assert warm == ([False] + [True] * (len(grid) - 1)) * len(config.seeds)
+        for seed in config.seeds:
+            scen = root / f"seed_{seed}"
+            for eta_p, eta_n in grid:
+                cell = scen / f"fit_mixed_{eta_p:g}_{eta_n:g}"
+                cold = tmp_path / "cold" / f"{seed}_{eta_p:g}_{eta_n:g}"
+                first, _ = fit_alone(scen, PenaltySpec.mixed(eta_p, eta_n),
+                                     config, cold)
+                t_opt = symmat.read_matrix(cell / "t_opt.txt")
+                assert relative_difference(t_opt, first.t_opt) < 1e-6
+                assert ((cold / "predicted_support.txt").read_bytes()
+                        == (cell / "predicted_support.txt").read_bytes())
 
     def test_single_cell_sweep_has_one_row(self, tmp_path):
         config = load_config(write_config(tmp_path / "c.json",
