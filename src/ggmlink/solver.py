@@ -27,6 +27,8 @@ variable stands for two full-matrix entries, so tr(T_hat K) and the smooth
 gradient 2 (T_hat - K^-1)_ij share one weight, 2 off the diagonal and 1 on it:
 the only place off-diagonals double. The penalty, the prox threshold t*gamma
 and step norms count each variable once. KKT checks must use this convention.
+dual_smooth_value, dual_smooth_gradient (divided by that weight, exactly) and _prox
+wrap the _objective, _free_gradient, _penalty and _soft_threshold that solve runs.
 
 Metric: solve scales each prox-gradient step by d, the exact Hessian diagonal
 of -log det K on the free variables. With W = K^-1 the second derivative
@@ -81,10 +83,10 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .ggm import GaussianModel
-from .symmat import (SupportPattern, SymmetricMatrix, _chol_or_none, _factor_or_raise,
-                     _free_layout, _gather, _log_det_of_factor, _lower_full, _lower_inverse,
-                     _lower_mask, _packed_diagonal, _packed_inverse, _pair_weight,
-                     _support_json, _trace_inner, _tril_of, support_of)
+from .symmat import (SupportPattern, SymmetricMatrix, _check_dims, _chol_or_none,
+                     _factor_or_raise, _free_layout, _gather, _log_det_of_factor, _lower_full,
+                     _lower_inverse, _lower_mask, _packed_diagonal, _packed_inverse,
+                     _packed_offsets, _pair_weight, _support_json, _tril_of, support_of)
 
 # Line search. The problem has one optimum, so these set how fast a fit
 # gets there, not where it ends.
@@ -255,17 +257,42 @@ class SolveResult:
 # Smooth part
 # ---------------------------------------------------------------------------
 
+def _objective(log_det: float, t_w, x, weight=None, magnitude=None) -> float:
+    """-log det K + t_w . x + weight . magnitude, the objective in K (module docstring)
+    at x on the free entries, with |x| = magnitude; no penalty term when weight is None."""
+    value = -log_det + float(np.dot(t_w, x))
+    return value if weight is None else value + float(np.dot(weight, magnitude))
+
+
+def _free_gradient(full: np.ndarray, at: np.ndarray, pair_weight: np.ndarray,
+                   t_w: np.ndarray):
+    """(W, W's free entries, the free gradient t_w - pair_weight * W) from
+    W = K^-1 in the lower triangle of a Fortran-ordered full array, with the
+    free entries at the offsets ``at``: the gradient of the smooth objective
+    in K on its free entries (module docstring)."""
+    inv = _gather(full, at)
+    w = pair_weight * inv
+    return full, inv, np.subtract(t_w, w, out=w)
+
+
 def dual_smooth_value(lam: SymmetricMatrix, s_inv: SymmetricMatrix,
                       t_hat: SymmetricMatrix) -> float:
     """-log det(S^-1 + L) + tr(T_hat L); raises on infeasible L."""
+    _check_dims(lam, t_hat)
     factor = _factor_or_raise(s_inv + lam, _INFEASIBLE)
-    return -_log_det_of_factor(factor) + _trace_inner(t_hat.packed(), lam.packed())
+    return _objective(_log_det_of_factor(factor), _pair_weight(lam.dim) * t_hat.packed(),
+                      lam.packed())
 
 
 def dual_smooth_gradient(lam: SymmetricMatrix, s_inv: SymmetricMatrix,
                          t_hat: SymmetricMatrix) -> SymmetricMatrix:
-    """Matrix gradient T_hat - (S^-1 + L)^-1 (trace inner product)."""
-    return t_hat - primal_from_dual(lam, s_inv)
+    """Matrix gradient T_hat - (S^-1 + L)^-1 (trace inner product), from _free_gradient."""
+    _check_dims(lam, t_hat)
+    factor = _factor_or_raise(s_inv + lam, _INFEASIBLE)
+    omega = _pair_weight(lam.dim)
+    w = _free_gradient(_lower_inverse(factor), _packed_offsets(lam.dim), omega,
+                       omega * t_hat.packed())[2]
+    return SymmetricMatrix._of_packed(lam.dim, w / omega)
 
 
 def primal_from_dual(lam: SymmetricMatrix,
@@ -279,54 +306,46 @@ def primal_from_dual(lam: SymmetricMatrix,
 # Proximal maps
 # ---------------------------------------------------------------------------
 
-class _Penalty:
-    """The penalty of one solve in K (module docstring) on the packed mask
-    ``free``, whose positions are ``index`` (a basic slice when every entry
-    is free): sum weight * |K_ij|, each weight 0 where it does not apply."""
+def _penalty(spec: PenaltySpec, prior_support: SupportPattern):
+    """(index, weight): the packed positions of the free entries (a basic slice
+    when every entry is free) and the weights on them of the penalty of one solve
+    in K (module docstring), sum weight * |K_ij|, 0 where it does not apply."""
+    prior = prior_support.packed()
+    free = np.ones_like(prior)
+    if spec.kind == "known":
+        if spec.omega.dim != prior_support.dim:
+            raise ValueError("constraint support dimension does not match the model")
+        free = spec.omega.packed()
+    elif spec.kind == "nlp":
+        free = prior
+    # PenaltySpec sets exactly the weights of its kind; the rest are None.
+    weight = ~_packed_diagonal(prior_support.dim) * np.where(
+        prior, spec.gamma_n or spec.eta_n or 0.0, spec.gamma_p or spec.eta_p or 0.0)
+    index = slice(None) if free.all() else np.flatnonzero(free)
+    return index, weight[index]
 
-    def __init__(self, spec: PenaltySpec, prior_support: SupportPattern):
-        prior = prior_support.packed()
-        self.free = np.ones_like(prior)
-        if spec.kind == "known":
-            if spec.omega.dim != prior_support.dim:
-                raise ValueError("constraint support dimension does not match the model")
-            self.free = spec.omega.packed()
-        elif spec.kind == "nlp":
-            self.free = prior
-        # PenaltySpec sets exactly the weights of its kind; the rest are None.
-        weight = ~_packed_diagonal(prior_support.dim) * np.where(
-            prior, spec.gamma_n or spec.eta_n or 0.0, spec.gamma_p or spec.eta_p or 0.0)
-        self.index = slice(None) if self.free.all() else np.flatnonzero(self.free)
-        self.weight = weight[self.index]
 
-    def on(self, index) -> "_Penalty":
-        """The prox of this penalty on the free entries at the positions
-        ``index`` alone."""
-        part = object.__new__(_Penalty)
-        part.weight = self.weight[index]
-        return part
-
-    def prox(self, x: np.ndarray, step) -> tuple[np.ndarray, np.ndarray]:
-        """Overwrite x with y = argmin_y sum (y - x)^2 / (2 step) + penalty(y),
-        a weighted soft threshold by step * weight, for a scalar step or one
-        per entry; return y and |y|."""
-        magnitude = np.abs(x)
-        magnitude -= step * self.weight
-        np.maximum(magnitude, 0.0, out=magnitude)
-        return np.copysign(magnitude, x, out=x), magnitude
+def _soft_threshold(x: np.ndarray, step, weight: np.ndarray):
+    """Overwrite x with y = argmin_y sum (y - x)^2 / (2 step) + weight . |y|, the
+    soft threshold by step * weight for a scalar step or one per entry; return y, |y|."""
+    magnitude = np.abs(x)
+    magnitude -= step * weight
+    np.maximum(magnitude, 0.0, out=magnitude)
+    return np.copysign(magnitude, x, out=x), magnitude
 
 
 def _prox(lam: SymmetricMatrix, step: float, spec: PenaltySpec,
           s_inv: SymmetricMatrix, prior_support: SupportPattern):
     """The prox in L: shift by the anchor A, apply the prox in K, shift back."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    penalty = _Penalty(spec, prior_support)
-    free = penalty.index
-    anchor = np.where(prior_support.packed()[free] & (penalty.weight > 0.0),
+    if not 0.0 < step < np.inf:
+        raise ValueError("step must be finite and positive")
+    for other in (s_inv, prior_support):
+        _check_dims(lam, other)
+    free, weight = _penalty(spec, prior_support)
+    anchor = np.where(prior_support.packed()[free] & (weight > 0.0),
                       s_inv.packed()[free], 0.0)
     out = np.zeros(lam.packed().size)
-    out[free] = penalty.prox(lam.packed()[free] + anchor, step)[0] - anchor
+    out[free] = _soft_threshold(lam.packed()[free] + anchor, step, weight)[0] - anchor
     return SymmetricMatrix(lam.dim, out)
 
 
@@ -376,17 +395,6 @@ def _bb_step(delta: np.ndarray, dg: np.ndarray, metric: np.ndarray) -> float:
     return min(max(step, _BB_STEP_MIN), _BB_STEP_MAX)
 
 
-def _free_gradient(full: np.ndarray, at: np.ndarray, pair_weight: np.ndarray,
-                   t_w: np.ndarray):
-    """(W, W's free entries, the free gradient t_w - pair_weight * W) from
-    W = K^-1 in the lower triangle of a Fortran-ordered full array, with the
-    free entries at the offsets ``at``: the gradient of the smooth objective
-    in K on its free entries (module docstring)."""
-    inv = _gather(full, at)
-    w = pair_weight * inv
-    return full, inv, np.subtract(t_w, w, out=w)
-
-
 def _newton_hessian(full: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                     pair_weight: np.ndarray) -> np.ndarray:
     """The Hessian of -log det K on the free entries at the 0-based ``rows``
@@ -425,6 +433,7 @@ def random_feasible_start(s_inv: SymmetricMatrix, seed: int,
     rng = np.random.default_rng(seed)
     g = rng.standard_normal(s_inv.packed().size)
     if support is not None:
+        _check_dims(s_inv, support)
         g = np.where(support.packed(), g, 0.0)
     alpha = 1.0
     for _ in range(200):
@@ -475,30 +484,24 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
     if lam0 is not None and lam0.dim != dim:
         raise ValueError("initial multiplier dimension does not match the model")
     s_inv = model.precision.packed()
-    pen = _Penalty(penalty, model.precision_support)
-    base, at, rows, cols = _free_layout(s_inv, pen.index)
-    s_free = s_inv[pen.index]  # a view when every entry is free
+    free, pen_weight = _penalty(penalty, model.precision_support)
+    base, at, rows, cols = _free_layout(s_inv, free)
+    s_free = s_inv[free]  # a view when every entry is free
     # One weight for tr(T_hat X) = t_w . x and for the gradient (docstring).
-    weight = _pair_weight(dim)[pen.index]
-    t_w = weight * t_hat.packed()[pen.index]
+    weight = _pair_weight(dim)[free]
+    t_w = weight * t_hat.packed()[free]
     # The trace reports the objective in L, the one in K less t_w . s_free.
     offset = float(np.dot(t_w, s_free))
     # Hard-constrained kinds start inside their subspace.
-    k = s_free.copy() if lam0 is None else s_free + lam0.packed()[pen.index]
+    k = s_free.copy() if lam0 is None else s_free + lam0.packed()[free]
     # The index set I, chosen once per fit (docstring); _i marks a part on I.
     on_active_set = k.size >= _ACTIVE_SET_MIN
 
     def parts_on(index):
         # I = index and the parts on it.
         weight_i = weight[index]
-        return (index, pen.on(index), t_w[index], at[index],
+        return (index, pen_weight[index], t_w[index], at[index],
                 0.5 * weight_i * weight_i, rows[index], cols[index])
-
-    def objective(x, magnitude, log_det):
-        # Composite objective at K with x on I and 0 on the rest of the free
-        # set, given |x| and log det K.
-        return (-log_det + float(np.dot(t_w_i, x))
-                + float(np.dot(pen_i.weight, magnitude)))
 
     def gradient(full):
         return _free_gradient(full, at, weight, t_w)
@@ -512,7 +515,7 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
         # The prox-gradient trial at step on I: its entries, their
         # magnitudes, the move delta from K and d * delta.
         scale = step / metric
-        cand, magnitude = pen_i.prox(k_i - scale * w_i, scale)
+        cand, magnitude = _soft_threshold(k_i - scale * w_i, scale, pen_weight_i)
         delta = cand - k_i
         return cand, magnitude, delta, metric * delta
 
@@ -521,7 +524,7 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
         # free set: the accepted (cand, f_cand, cand_grad, delta), or None.
         support = np.flatnonzero(k_i)
         signs = np.sign(k_i)  # 0 off S
-        g = w_i + pen.weight * signs
+        g = w_i + pen_weight * signs
         g_s = g[support]
         hess = _newton_hessian(grad[0], rows[support], cols[support], weight[support])
         # hess.T is the same matrix in the Fortran order dposv works in.
@@ -532,7 +535,7 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
         decrease = _ARMIJO_CONST * float(np.dot(g_s, x_s))
         x = np.zeros_like(k_i)
         x[support] = x_s
-        penalized = pen.weight > 0.0
+        penalized = pen_weight > 0.0
         scale = 1.0
         for _ in range(_NEWTON_HALVINGS + 1):
             # Off S, k and x are 0, and so is the candidate.
@@ -543,7 +546,8 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
                 return None
             cand_factor = _chol_or_none(dim, cand, base, at)
             if cand_factor is not None:
-                f_cand = objective(cand, np.abs(cand), _log_det_of_factor(cand_factor))
+                f_cand = _objective(_log_det_of_factor(cand_factor), t_w_i, cand,
+                                    pen_weight_i, np.abs(cand))
                 if f_cand <= f_total - scale * decrease:
                     return cand, f_cand, gradient(_lower_inverse(cand_factor)), delta
             scale *= 0.5
@@ -558,11 +562,11 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
             raise ValueError("initial multiplier is infeasible")
         log_det, full_inv = _log_det_of_factor(factor), _lower_inverse(factor)
     grad = gradient(full_inv)
-    index, pen_i, t_w_i, at_i, curvature_i, rows_i, cols_i = parts_on(
-        _active_set(grad[2], pen.weight, k, None) if on_active_set else slice(None))
+    index, pen_weight_i, t_w_i, at_i, curvature_i, rows_i, cols_i = parts_on(
+        _active_set(grad[2], pen_weight, k, None) if on_active_set else slice(None))
     k_i, w_i, metric = k[index], grad[2][index], metric_on(grad)
 
-    f_total = objective(k_i, np.abs(k_i), log_det)
+    f_total = _objective(log_det, t_w_i, k_i, pen_weight_i, np.abs(k_i))
     trace = [f_total - offset]
 
     step = _STEP_INIT
@@ -598,7 +602,8 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
                 cand_factor = _chol_or_none(dim, cand, base, at_i)
                 if cand_factor is not None:
                     decrease = _ARMIJO_CONST * float(np.dot(delta, metric_delta)) / step
-                    f_cand = objective(cand, magnitude, _log_det_of_factor(cand_factor))
+                    f_cand = _objective(_log_det_of_factor(cand_factor), t_w_i, cand,
+                                        pen_weight_i, magnitude)
                     if f_cand <= f_total - decrease:
                         cand_grad = gradient(_lower_inverse(cand_factor))
                         break
@@ -638,8 +643,8 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
         if on_active_set:
             k[index] = k_i
             # Off the last I, k is exactly 0 (_active_set).
-            index, pen_i, t_w_i, at_i, curvature_i, rows_i, cols_i = parts_on(
-                _active_set(grad[2], pen.weight, k, index))
+            index, pen_weight_i, t_w_i, at_i, curvature_i, rows_i, cols_i = parts_on(
+                _active_set(grad[2], pen_weight, k, index))
             k_i, w_i, metric = k[index], grad[2][index], metric_on(grad)
 
     k[index] = k_i
@@ -649,15 +654,15 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
     # max(|w_e| - weight_e, 0) where k_e = 0, and |w_e + weight_e sign k_e|
     # where not.
     kkt = np.abs(w)
-    kkt -= pen.weight
+    kkt -= pen_weight
     nonzero = np.flatnonzero(k)
-    kkt[nonzero] = np.abs(w[nonzero] + np.copysign(pen.weight[nonzero], k[nonzero]))
+    kkt[nonzero] = np.abs(w[nonzero] + np.copysign(pen_weight[nonzero], k[nonzero]))
     # K as iterated: zeros survive, and a zeroed free entry gives L = -S^-1.
-    if isinstance(pen.index, slice):  # every entry is free
+    if isinstance(free, slice):  # every entry is free
         k_opt = k
     else:
         k_opt = s_inv.copy()
-        k_opt[pen.index] = k
+        k_opt[free] = k
     k_scale = float(np.max(np.abs(k_opt)))
     precision = SymmetricMatrix._of_packed(dim, k_opt)
     result = SolveResult(
@@ -674,7 +679,7 @@ def solve(model: GaussianModel, t_hat: SymmetricMatrix, penalty: PenaltySpec,
         # w is the free gradient at the returned L, whose free entries are
         # k - s_free.
         result.duality_gap = float(np.dot(w, k - s_free))
-        diff = inv - t_hat.packed()[pen.index]
+        diff = inv - t_hat.packed()[free]
         result.constraint_residual = float(np.sqrt(np.dot(weight * diff, diff)))
     return result
 

@@ -36,8 +36,8 @@ from ggmlink import (
 from ggmlink import solver as solver_module
 from ggmlink import symmat as symmat_module
 from ggmlink.solver import (_BB_STEP_MAX, _BB_STEP_MIN, _STEP_FLOOR, _STEP_INIT,
-                            _Penalty, _bb_step, _prox)
-from ggmlink.symmat import _chol_or_none, _lower_inverse, _tril_of
+                            _bb_step, _penalty, _prox, _soft_threshold)
+from ggmlink.symmat import _chol_or_none, _lower_inverse, _trace_inner, _tril_of
 from conftest import make_instance, random_pd, random_symmetric
 
 TRACE_SLACK = 1e-10
@@ -228,6 +228,60 @@ class TestProxMaps:
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
             prox_plp(self.entry_matrix(0.1), 0.0, 0.5, self.prior_without)
+        # A NaN step gave an all-NaN matrix, and an infinite one put
+        # inf * 0 = NaN on the diagonal.
+        lam, s_inv = self.entry_matrix(0.1), SymmetricMatrix.identity(2)
+        for step in (np.nan, np.inf, -np.inf):
+            for call in (lambda: prox_plp(lam, step, 0.5, self.prior_without),
+                         lambda: prox_nlp(lam, step, 0.5, s_inv, self.prior_with),
+                         lambda: prox_mixed(lam, step, 0.5, 0.5, s_inv, self.prior_with)):
+                with pytest.raises(ValueError, match="^step must be finite and positive$"):
+                    call()
+
+
+EYE2, EYE3 = SymmetricMatrix.identity(2), SymmetricMatrix.identity(3)
+DIAG2, DIAG3 = SupportPattern.diagonal(2), SupportPattern.diagonal(3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: dual_smooth_value(EYE3, EYE3, EYE2),
+    lambda: dual_smooth_gradient(EYE3, EYE3, EYE2),
+    lambda: prox_plp(EYE3, 1.0, 0.5, DIAG2),
+    lambda: prox_nlp(EYE3, 1.0, 0.5, EYE3, DIAG2),
+    lambda: prox_nlp(EYE3, 1.0, 0.5, EYE2, DIAG3),
+    lambda: prox_mixed(EYE3, 1.0, 0.5, 0.5, EYE3, DIAG2),
+    lambda: prox_mixed(EYE3, 1.0, 0.5, 0.5, EYE2, DIAG3),
+    lambda: random_feasible_start(EYE3, 0, DIAG2),
+], ids=["value-t_hat", "gradient-t_hat", "plp-support", "nlp-support", "nlp-s_inv",
+        "mixed-support", "mixed-s_inv", "start-support"])
+def test_public_helpers_name_a_dimension_mismatch(call):
+    # One message for every public L-space helper, not a numpy shape error.
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 3 vs 2$"):
+        call()
+
+
+class TestWrappersPinned:
+    # The wrappers run solve's own _objective and _free_gradient. On random
+    # instances they must give the textbook formulas bit for bit: the pair
+    # weight t_w = omega * T_hat is the one of _trace_inner, and dividing the
+    # free gradient by omega (1 or 2) is exact.
+    def instances(self, rng, count=100):
+        for _ in range(count):
+            dim = int(rng.integers(1, 30))
+            s_inv = random_pd(dim, rng)
+            lam = random_feasible_start(s_inv, seed=int(rng.integers(1 << 30)))
+            yield lam, s_inv, random_pd(dim, rng)
+
+    def test_value_is_the_trace_formula(self, rng):
+        for lam, s_inv, t_hat in self.instances(rng):
+            want = -log_det(s_inv + lam) + _trace_inner(t_hat.packed(), lam.packed())
+            assert dual_smooth_value(lam, s_inv, t_hat).hex() == want.hex()
+
+    def test_gradient_is_t_hat_minus_the_inverse(self, rng):
+        for lam, s_inv, t_hat in self.instances(rng):
+            want = t_hat - inverse(s_inv + lam)
+            got = dual_smooth_gradient(lam, s_inv, t_hat)
+            assert got.packed().tobytes() == want.packed().tobytes()
 
 
 class TestPenaltySpec:
@@ -491,17 +545,16 @@ class TestSolvePenalized:
         # factored, so there is one prox more than factorizations: no prox
         # is spent on measuring alone.
         counts = {"prox": 0, "chol": 0}
-        prox = _Penalty.prox
 
-        def counting_prox(self, *args):
+        def counting_prox(*args):
             counts["prox"] += 1
-            return prox(self, *args)
+            return _soft_threshold(*args)
 
         def counting_chol(*args):
             counts["chol"] += 1
             return _chol_or_none(*args)
 
-        monkeypatch.setattr(_Penalty, "prox", counting_prox)
+        monkeypatch.setattr(solver_module, "_soft_threshold", counting_prox)
         monkeypatch.setattr(solver_module, "_chol_or_none", counting_chol)
         prior, truth, t_hat = make_instance(7, dim=30, density=0.1, n_obs=120)
         for pen in (PenaltySpec.plp(0.1), PenaltySpec.nlp(0.3), PenaltySpec.mixed(0.1, 0.3)):
@@ -701,9 +754,9 @@ class TestKSpaceBookkeeping:
                     + problem_penalty(spec, prior, lam.to_array()))
             assert reported == pytest.approx(want, rel=1e-12)
         # The identity that lets the anchor go: |L + A| = |K| where W > 0.
-        pen = _Penalty(spec, prior.precision_support)
-        k = (prior.precision + res.lambda_opt).packed()[pen.free]
-        assert float(np.dot(pen.weight, np.abs(k))) == pytest.approx(
+        free, weight = _penalty(spec, prior.precision_support)
+        k = (prior.precision + res.lambda_opt).packed()[free]
+        assert float(np.dot(weight, np.abs(k))) == pytest.approx(
             problem_penalty(spec, prior, res.lambda_opt.to_array()), rel=1e-12)
 
     def test_nlp_zeroed_entries_give_minus_prior(self):
@@ -758,7 +811,7 @@ def unpack(packed):
 
 
 def penalty_prox(spec, prior, s_inv, v, t):
-    """Full symmetric array of the prox of ``v`` in L: _Penalty's prox in K
+    """Full symmetric array of the prox of ``v`` in L: the soft threshold in K
     on the free entries, shifted by the anchor, and 0 on the fixed ones."""
     return _prox(SymmetricMatrix.from_array(v, tol=0.0), t, spec,
                  SymmetricMatrix.from_array(s_inv, tol=0.0),
@@ -803,12 +856,12 @@ class TestPenaltyCoreProperties:
     @settings(max_examples=100)
     @given(prox_cases())
     def test_fixed_entries_exactly_zero(self, case):
-        # The public maps return _Penalty's prox in K on the free entries,
+        # The public maps return the soft threshold in K on the free entries,
         # shifted by the anchor A (S^-1 on the weighted prior entries, else
         # 0), and exactly 0 on the fixed ones; `known` has only the private
         # one.
         spec, prior, omega, s_inv, v, t = case
-        penalty = _Penalty(spec, SupportPattern.from_mask(prior))
+        free, weight = _penalty(spec, SupportPattern.from_mask(prior))
         lam = SymmetricMatrix.from_array(v, tol=0.0)
         s = SymmetricMatrix.from_array(s_inv, tol=0.0)
         pattern = SupportPattern.from_mask(prior)
@@ -818,12 +871,12 @@ class TestPenaltyCoreProperties:
             "nlp": lambda: prox_nlp(lam, t, spec.gamma_n, s, pattern),
             "mixed": lambda: prox_mixed(lam, t, spec.eta_p, spec.eta_n, s, pattern),
         }[spec.kind]().packed()
-        assert np.all(public[~penalty.free] == 0.0)
-        anchor = np.where(_tril_of(prior)[penalty.free] & (penalty.weight > 0.0),
-                          _tril_of(s_inv)[penalty.free], 0.0)
-        shifted, magnitude = penalty.prox(lam.packed()[penalty.free] + anchor, t)
+        assert np.all(np.delete(public, free) == 0.0)
+        anchor = np.where(_tril_of(prior)[free] & (weight > 0.0),
+                          _tril_of(s_inv)[free], 0.0)
+        shifted, magnitude = _soft_threshold(lam.packed()[free] + anchor, t, weight)
         np.testing.assert_array_equal(magnitude, np.abs(shifted))
-        np.testing.assert_array_equal(public[penalty.free], shifted - anchor)
+        np.testing.assert_array_equal(public[free], shifted - anchor)
 
     @settings(max_examples=100)
     @given(prox_cases())
@@ -972,16 +1025,16 @@ class TestMetric:
         omega = SupportPattern._of_packed(dim, in_omega)
         spec = {"known": PenaltySpec.known_support(omega), "plp": PenaltySpec.plp(0.1),
                 "nlp": PenaltySpec.nlp(0.2), "mixed": PenaltySpec.mixed(0.1, 0.2)}[kind]
-        free = _Penalty(spec, prior.precision_support).free
+        free = np.zeros(s_inv.packed().size, dtype=bool)
+        free[_penalty(spec, prior.precision_support)[0]] = True
         lam0 = random_feasible_start(s_inv, seed, SupportPattern._of_packed(dim, free))
         steps = []
-        prox = _Penalty.prox
 
-        def recording(self, x, step):
+        def recording(x, step, weight):
             steps.append(np.array(step, dtype=float))
-            return prox(self, x, step)
+            return _soft_threshold(x, step, weight)
 
-        monkeypatch.setattr(_Penalty, "prox", recording)
+        monkeypatch.setattr(solver_module, "_soft_threshold", recording)
         solve(prior, t_hat, spec, SolverConfig(max_iters=1), lam0=lam0)
         metric = 1.0 / steps[0]
         pair_weight = np.where(_tril_of(np.eye(dim, dtype=bool)), 1.0, 2.0)
@@ -1057,14 +1110,14 @@ class TestKKTViolation:
         cfg = SolverConfig(grad_tol=1e-9)
         res = solve(prior, t_hat, spec, cfg)
         assert res.converged
-        pen = _Penalty(spec, prior.precision_support)
+        free, weight = _penalty(spec, prior.precision_support)
         pair_weight = np.where(_tril_of(np.eye(7, dtype=bool)), 1.0, 2.0)
         grad = dual_smooth_gradient(res.lambda_opt, prior.precision, t_hat).packed()
-        w = (pair_weight * grad)[pen.free]
-        k = (prior.precision + res.lambda_opt).packed()[pen.free]
+        w = (pair_weight * grad)[free]
+        k = (prior.precision + res.lambda_opt).packed()[free]
         want = max(abs(w_e + weight_e * np.sign(k_e)) if k_e != 0.0
                    else max(abs(w_e) - weight_e, 0.0)
-                   for w_e, weight_e, k_e in zip(w, pen.weight, k))
+                   for w_e, weight_e, k_e in zip(w, weight, k))
         assert res.kkt_violation == pytest.approx(want, rel=1e-6, abs=1e-12)
         assert res.kkt_violation <= 10 * cfg.grad_tol
         start = solve(prior, t_hat, spec, SolverConfig(max_iters=1))
@@ -1083,10 +1136,10 @@ class TestActiveSet:
         # An entry with k = 0 and |w| <= weight lies off A. Its trial in
         # solve, the prox of k - (t/d) w at threshold (t/d) weight, is
         # exactly 0.0 at every step t and metric d: rounding is monotone.
-        pen = _Penalty(PenaltySpec.plp(weight), SupportPattern.diagonal(2)).on([1])
+        pen_weight = _penalty(PenaltySpec.plp(weight), SupportPattern.diagonal(2))[1][[1]]
         k, w = np.zeros(1), np.array([share * weight])
         scale = step / np.array([metric])
-        cand, magnitude = pen.prox(k - scale * w, scale)
+        cand, magnitude = _soft_threshold(k - scale * w, scale, pen_weight)
         assert cand[0] == 0.0 and magnitude[0] == 0.0
 
 
