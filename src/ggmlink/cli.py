@@ -72,21 +72,16 @@ class ExperimentConfig:
             raise ValueError(f"gamma_grid labels must be distinct: {labels}")
         if self.score_variant not in predict.SCORE_VARIANTS:
             raise ValueError(f"unknown score_variant {self.score_variant!r}")
-        # NaN and inf fail the comparison.
-        if not 0.0 < self.t_r < np.inf:
-            raise ValueError("t_r must be finite and strictly positive")
+        symmat._positive(self.t_r, "t_r")
 
 
-_NUMBER = (int, float)
 _NULL = type(None)
-# The JSON types of each object's fields.
-_CONFIG_TYPES = {"scenario": dict, "N": int, "penalty_kind": str,
-                 "seeds": list, "gamma_grid": (list, _NULL), "t_r": _NUMBER,
+# The JSON types of the config's fields. ExperimentConfig checks N and t_r,
+# and ScenarioSpec and SolverConfig check every field of theirs.
+_CONFIG_TYPES = {"scenario": dict, "N": object, "penalty_kind": str,
+                 "seeds": list, "gamma_grid": (list, _NULL), "t_r": object,
                  "score_variant": str, "solver": dict,
                  "output_dir": (str, _NULL)}
-_SCENARIO_TYPES = {"dim": int, "edge_density": _NUMBER, "n_add": int,
-                   "n_remove": int, "seed": int}
-_SOLVER_TYPES = {"max_iters": int, "grad_tol": _NUMBER}
 
 
 def _typed(value, types, name: str):
@@ -96,18 +91,15 @@ def _typed(value, types, name: str):
     return value
 
 
-def _fields(raw, types: dict, required, name: str, prefix: str) -> dict:
-    """``raw`` if it is a JSON object whose fields are all in ``types``,
-    each of its types there, and include ``required``. Messages call the
-    object ``name`` and each field ``prefix + field``."""
-    unknown = set(_typed(raw, dict, name)) - set(types)
+def _fields(raw, names, required, name: str) -> dict:
+    """``raw`` if it is a JSON object whose fields are all in ``names`` and
+    include ``required``; messages call the object ``name``."""
+    unknown = set(_typed(raw, dict, name)) - set(names)
     if unknown:
         raise ValueError(f"unknown {name} fields: {sorted(unknown)}")
     for field in required:
         if field not in raw:
             raise ValueError(f"{name} is missing required field {field!r}")
-    for field, value in raw.items():
-        _typed(value, types[field], prefix + field)
     return raw
 
 
@@ -123,12 +115,13 @@ def load_config(path) -> ExperimentConfig:
 
 def _config_of(raw) -> ExperimentConfig:
     """The experiment config of a parsed JSON object."""
-    raw = _fields(raw, _CONFIG_TYPES, ("scenario", "N", "penalty_kind", "seeds"),
-                  "config", "")
-    scenario = _fields(raw["scenario"], _SCENARIO_TYPES, _SCENARIO_TYPES,
-                       "scenario", "scenario.")
-    solver_cfg = _fields(raw.get("solver", {}), _SOLVER_TYPES, (),
-                         "solver config", "solver.")
+    raw = _fields(raw, _CONFIG_TYPES, ("scenario", "N", "penalty_kind", "seeds"), "config")
+    for field, value in raw.items():
+        _typed(value, _CONFIG_TYPES[field], field)
+    scenario_fields = [f.name for f in dataclasses.fields(ScenarioSpec)]
+    scenario = _fields(raw["scenario"], scenario_fields, scenario_fields, "scenario")
+    solver_cfg = _fields(raw.get("solver", {}),
+                         [f.name for f in dataclasses.fields(SolverConfig)], (), "solver config")
     kind = raw["penalty_kind"]
     grid = raw.get("gamma_grid")
     if grid is None:
@@ -339,8 +332,7 @@ def cmd_sweep(root, config: ExperimentConfig, threads: int = 1) -> dict:
     Rows keep the (seed, gamma) order. A cell's trajectory depends only on
     its seed's earlier cells, so reruns are byte-identical at any
     ``threads``."""
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    symmat._integer(threads, "threads", 1)
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         ordered = [row for rows in pool.map(
             lambda s: _sweep_seed(root, s, config), config.seeds)
@@ -498,11 +490,11 @@ def _build_parser() -> _Parser:
 
 def _fit_penalty_from_args(args) -> PenaltySpec:
     kind = args.penalty
+    if args.gamma is not None:
+        return PenaltySpec.from_gamma(kind, _parse_gamma(args.gamma))
     if kind == "known":
         return PenaltySpec.known_support(ggm.load_support(args.scenario_dir, "true"))
-    if args.gamma is None:
-        raise ValueError(f"--gamma is required for penalty {kind!r}")
-    return PenaltySpec.from_gamma(kind, _parse_gamma(args.gamma))
+    raise ValueError(f"--gamma is required for penalty {kind!r}")
 
 
 def _config_from_args(args) -> ExperimentConfig:

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import functools
 import json
-import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,8 +23,10 @@ from .symmat import (
     SymmetricMatrix,
     _check_dims,
     _factor_or_raise,
+    _integer,
     _log_det_of_factor,
     _packed_inverse,
+    _positive,
     _trace_inner,
     _tril_of,
     _write_text,
@@ -148,28 +149,18 @@ class ScenarioSpec:
     seed: int
 
     def __post_init__(self):
-        _check_scenario_dim(self.dim)
-        if not (0.0 < self.edge_density <= 1.0):
-            raise ValueError("edge_density must be in (0, 1]")
-        if self.n_add < 0 or self.n_remove < 0:
-            raise ValueError("edge change counts must be >= 0")
-        if self.seed < 0:
-            raise ValueError(f"scenario seed must be >= 0: {self.seed!r}")
-
-
-def _check_scenario_dim(dim) -> None:
-    """Reject a scenario dim that is not an integer in [2, MAX_DIM]."""
-    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) \
-            or not 2 <= dim <= MAX_DIM:
-        raise ValueError(f"scenario dim must be an integer in [2, {MAX_DIM}]: {dim!r}")
+        _integer(self.dim, "scenario dim", 2, MAX_DIM)
+        _positive(self.edge_density, "edge_density")
+        if self.edge_density > 1:
+            raise ValueError(f"edge_density must be in (0, 1]: {self.edge_density!r}")
+        _integer(self.n_add, "n_add", 0)
+        _integer(self.n_remove, "n_remove", 0)
+        _integer(self.seed, "scenario seed", 0)
 
 
 def _check_sample_count(n, dim: int) -> None:
     """Reject a sample count N that is not an integer in [1, MAX_SAMPLE_ENTRIES // dim]."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) \
-            or not 1 <= n <= MAX_SAMPLE_ENTRIES // dim:
-        raise ValueError(f"N must be an integer in [1, {MAX_SAMPLE_ENTRIES // dim}]"
-                         f" at dim {dim}: {n!r}")
+    _integer(n, "N", 1, MAX_SAMPLE_ENTRIES // dim)
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +246,10 @@ def random_model(dim: int, edge_density: float, seed: int) -> GaussianModel:
     """Random sparse PD precision matrix at the requested off-diagonal edge density:
     the empty graph's model PRECISION_SCALE * I (its structural diagonal is exactly 1,
     so edge weights are unscaled draws) with that share of the pairs added as edges."""
-    _check_scenario_dim(dim)
-    if not (0.0 < edge_density <= 1.0):
-        raise ValueError("edge_density must be in (0, 1]")
+    spec = ScenarioSpec(dim=dim, edge_density=edge_density, n_add=0, n_remove=0, seed=seed)
     n_edges = int(round(edge_density * (dim * (dim - 1) // 2)))
     empty = GaussianModel(PRECISION_SCALE * SymmetricMatrix.identity(dim))
-    return perturb_model(empty, ScenarioSpec(dim=dim, edge_density=edge_density,
-                                             n_add=n_edges, n_remove=0, seed=seed))
+    return perturb_model(empty, replace(spec, n_add=n_edges))
 
 
 def perturb_model(base: GaussianModel, spec: ScenarioSpec) -> GaussianModel:

@@ -17,9 +17,13 @@ from .symmat import (
     SupportPattern,
     SymmetricMatrix,
     _factor_or_raise,
+    _full_positions,
+    _integer,
     _packed_diagonal,
     _packed_inverse,
     _packed_rows_cols,
+    _packed_size,
+    _positive,
     _support_json,
     support_of,
 )
@@ -90,8 +94,7 @@ def score_matrix(t_opt: SymmetricMatrix, variant: str = "partial_correlation",
 
 def threshold_support(r: SymmetricMatrix, t_r: float) -> SupportPattern:
     """Off-diagonal pairs with |r_ij| > t_r, plus every diagonal pair."""
-    if not 0.0 < t_r < np.inf:
-        raise ValueError("threshold must be finite and strictly positive")
+    _positive(t_r, "t_r")
     return support_of(r, t_r).union(SupportPattern.diagonal(r.dim))
 
 
@@ -112,9 +115,8 @@ def common_neighbors(support: SupportPattern) -> SymmetricMatrix:
         (np.ones(ends.size), (ends, np.roll(ends, edges.size))), shape=(dim, dim))
     counts = (adj @ adj).tocoo()
     lower = counts.row > counts.col
-    row, col = counts.row[lower].astype(np.int64), counts.col[lower]
-    packed = np.zeros(dim * (dim + 1) // 2)
-    packed[row * (row + 1) // 2 + col] = counts.data[lower]
+    packed = np.zeros(_packed_size(dim))
+    packed[_full_positions(dim)[counts.row[lower], counts.col[lower]]] = counts.data[lower]
     return SymmetricMatrix._of_packed(dim, packed)
 
 
@@ -146,12 +148,9 @@ def _top_k(prior_support: SupportPattern, pool: SupportPattern, k: int,
 def plp_baseline(prior_support: SupportPattern, k: int) -> PredictionReport:
     """Predict as appearing the k absent pairs with the highest
     common-neighbors count; ties broken lexicographically and flagged."""
-    if k < 0:
-        raise ValueError("need k >= 0")
     diagonal = SupportPattern.diagonal(prior_support.dim)
     absent = prior_support.complement().minus(diagonal)
-    if k > len(absent):
-        raise ValueError(f"k={k} exceeds the {len(absent)} absent pairs")
+    _integer(k, "k", 0, len(absent))
     chosen, ties = _top_k(prior_support, absent, k, descending=True)
     return PredictionReport(
         predicted_support=prior_support.union(chosen).union(diagonal),
@@ -167,8 +166,7 @@ def nlp_reversed_baseline(prior_support: SupportPattern,
     lexicographically and flagged."""
     diagonal = SupportPattern.diagonal(prior_support.dim)
     edges = prior_support.minus(diagonal)
-    if not (0 <= k <= len(edges)):
-        raise ValueError(f"k={k} out of range for {len(edges)} edges")
+    _integer(k, "k", 0, len(edges))
     # Removing edge (i, j) changes no term of sum_m A_im A_mj, as the
     # adjacency has a zero diagonal, so every edge keeps its prior count.
     dropped, ties = _top_k(prior_support, edges, k, descending=False)

@@ -76,7 +76,6 @@ an accepted one counts as an iteration like any other.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,9 +83,10 @@ from scipy.linalg import blas, lapack
 
 from .ggm import GaussianModel
 from .symmat import (SupportPattern, SymmetricMatrix, _check_dims, _chol_or_none,
-                     _factor_or_raise, _free_layout, _gather, _log_det_of_factor, _lower_full,
-                     _lower_inverse, _lower_mask, _packed_diagonal, _packed_inverse,
-                     _packed_offsets, _pair_weight, _support_json, _tril_of, support_of)
+                     _factor_or_raise, _free_layout, _gather, _integer, _log_det_of_factor,
+                     _lower_full, _lower_inverse, _lower_mask, _packed_diagonal,
+                     _packed_inverse, _packed_offsets, _pair_weight, _positive,
+                     _support_json, _tril_of, support_of)
 
 # Line search. The problem has one optimum, so these set how fast a fit
 # gets there, not where it ends.
@@ -161,12 +161,7 @@ class PenaltySpec:
             elif value is None:
                 raise ValueError(f"penalty {self.kind!r} requires {name}")
             elif name != "omega":
-                # A boolean is no weight. NaN, inf and integers beyond the
-                # float range fail the comparison.
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ValueError(f"{name} must be a number: {value!r}")
-                if not 0.0 < value <= sys.float_info.max:
-                    raise ValueError(f"{name} must be finite and strictly positive")
+                _positive(value, name)
                 object.__setattr__(self, name, float(value))
 
     @classmethod
@@ -206,14 +201,8 @@ class SolverConfig:
     grad_tol: float = 1e-7
 
     def __post_init__(self):
-        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int)
-                or self.max_iters < 1):
-            raise ValueError(f"max_iters must be an integer >= 1: {self.max_iters!r}")
-        if isinstance(self.grad_tol, bool) or not isinstance(self.grad_tol, (int, float)):
-            raise ValueError(f"grad_tol must be a number: {self.grad_tol!r}")
-        # NaN and inf fail the comparison.
-        if not 0.0 < self.grad_tol < np.inf:
-            raise ValueError("grad_tol must be finite and positive")
+        _integer(self.max_iters, "max_iters", 1)
+        _positive(self.grad_tol, "grad_tol")
 
 
 @dataclass
@@ -337,8 +326,7 @@ def _soft_threshold(x: np.ndarray, step, weight: np.ndarray):
 def _prox(lam: SymmetricMatrix, step: float, spec: PenaltySpec,
           s_inv: SymmetricMatrix, prior_support: SupportPattern):
     """The prox in L: shift by the anchor A, apply the prox in K, shift back."""
-    if not 0.0 < step < np.inf:
-        raise ValueError("step must be finite and positive")
+    _positive(step, "step")
     for other in (s_inv, prior_support):
         _check_dims(lam, other)
     free, weight = _penalty(spec, prior_support)

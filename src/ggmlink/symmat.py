@@ -5,7 +5,8 @@ construction and never drifts through arithmetic. A support pattern is a
 boolean triangle in the same packed layout; only this module converts
 between full arrays and packed triangles. Index pairs are
 1-based everywhere in the public interface; a pair (i, j) always means the
-unordered pair, read back canonically with i >= j.
+unordered pair, read back canonically with i >= j. Every module checks its
+numbers with this module's two rules, _positive and _integer.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
+import numbers
 import os
 
 import numpy as np
@@ -88,6 +91,29 @@ def _packed_offsets(dim: int) -> np.ndarray:
     return at
 
 
+def _positive(value, name: str) -> None:
+    """Reject ``value`` unless it is a real number, not a bool, that is
+    positive and finite as a float: NaN, inf and integers past the float
+    range fail."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number: {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer past the float range
+        finite = False
+    if not (finite and value > 0):
+        raise ValueError(f"{name} must be finite and positive: {value!r}")
+
+
+def _integer(value, name: str, low: int, high: int | None = None) -> None:
+    """Reject ``value`` unless it is an integer, not a bool, in [low, high]
+    (no upper bound when high is None)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < low or high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bound}: {value!r}")
+
+
 def _check_dims(a, b) -> None:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -111,8 +137,7 @@ class SymmetricMatrix:
     __slots__ = ("dim", "_packed", "_inverse")
 
     def __init__(self, dim: int, packed: np.ndarray):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
+        _integer(dim, "dim", 1)
         packed = np.array(packed, dtype=np.float64)  # a copy
         if packed.shape != (_packed_size(dim),):
             raise ValueError(f"packed triangle has {packed.size} entries, "
@@ -157,10 +182,9 @@ class SymmetricMatrix:
     # ---- access ----
 
     def to_array(self) -> np.ndarray:
-        """Full dense (dim, dim) array; both triangles filled."""
-        full = np.zeros((self.dim, self.dim))
-        full[_lower_mask(self.dim)] = self._packed
-        return full + np.tril(full, -1).T
+        """Full dense (dim, dim) array; both triangles filled. Adding 0.0
+        reads -0.0 as 0.0."""
+        return self._packed[_full_positions(self.dim)] + 0.0
 
     def packed(self) -> np.ndarray:
         """Read-only packed lower triangle (row-major)."""
@@ -205,8 +229,7 @@ class SupportPattern:
     __slots__ = ("dim", "_packed")
 
     def __init__(self, dim: int, pairs):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
+        _integer(dim, "dim", 1)
         packed = np.zeros(_packed_size(dim), dtype=bool)
         for i, j in pairs:
             i, j = int(i), int(j)
@@ -299,9 +322,7 @@ class SupportPattern:
 
     def mask(self) -> np.ndarray:
         """Symmetric boolean (dim, dim) membership mask, 0-based (a new array)."""
-        full = np.zeros((self.dim, self.dim), dtype=bool)
-        full[_lower_mask(self.dim)] = self._packed
-        return full | full.T
+        return self._packed[_full_positions(self.dim)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SupportPattern):
@@ -486,9 +507,9 @@ def frobenius_norm(a: SymmetricMatrix) -> float:
 
 
 def support_of(a: SymmetricMatrix, zero_tol: float) -> SupportPattern:
-    """Pairs where |a[i, j]| exceeds ``zero_tol`` (strictly)."""
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be >= 0")
+    """Pairs where |a[i, j]| exceeds ``zero_tol`` (strictly), 0 or a positive real."""
+    if zero_tol != 0:
+        _positive(zero_tol, "zero_tol")
     return SupportPattern._of_packed(a.dim, np.abs(a.packed()) > zero_tol)
 
 

@@ -724,6 +724,8 @@ MUTATIONS = {
 CONFIG_MUTATIONS = {
     "unbounded_n": _set_config(N=10**15),
     "negative_seed": _set_config(seeds=[-1]),
+    # A 400-digit JSON integer: past the float range, so no threshold.
+    "huge_t_r": _set_config(t_r=10**400),
 }
 # The token mutations again, each at three drawn positions of every file.
 DRAWN_MUTATIONS = {f"{token}@{draw}": (token, draw)
@@ -1000,7 +1002,7 @@ class TestMainEntry:
     @pytest.mark.parametrize("overrides, field", [
         ({"seeds": [0, -1]}, "seeds must be >= 0"),
         ({"scenario": {"dim": 6, "edge_density": 0.3, "n_add": 1, "n_remove": 0,
-                       "seed": -1}}, "scenario seed must be >= 0"),
+                       "seed": -1}}, "scenario seed must be an integer >= 0"),
     ], ids=["seeds", "scenario_seed"])
     @pytest.mark.parametrize("command", ["generate", "sweep"])
     def test_negative_seed_fails_in_one_line(self, tmp_path, capsys, overrides,
@@ -1021,6 +1023,13 @@ class TestMainEntry:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: --seed: seeds must be >= 0: [-1]"]
         assert not (tmp_path / "out").exists()
+
+    def test_known_fit_rejects_a_gamma(self, tmp_path, capsys):
+        # The gamma is refused before the scenario directory is read.
+        assert main(["fit", str(tmp_path / "scen"), "--penalty", "known",
+                     "--gamma", "0.1"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: penalty 'known' takes a support, not a gamma"]
 
     def test_io_exit_code(self, tmp_path):
         assert main(["fit", str(tmp_path / "nonexistent"), "--penalty", "plp",
@@ -1202,7 +1211,7 @@ class TestMainEntry:
         assert main(["sweep", "--config", str(cfg_path),
                      "--threads", threads]) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: threads must be >= 1"]
+        assert err == [f"error: threads must be an integer >= 1: {threads}"]
 
     @pytest.mark.parametrize("name", ["step_init", "backtrack_factor",
                                       "armijo_const", "zero_tol",

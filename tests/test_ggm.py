@@ -309,7 +309,7 @@ class TestScenarioSpec:
                             n_remove=0, seed=0).dim == ggm.MAX_DIM
 
     def test_seed_is_non_negative(self):
-        with pytest.raises(ValueError, match="scenario seed must be >= 0: -1"):
+        with pytest.raises(ValueError, match="scenario seed must be an integer >= 0: -1"):
             ScenarioSpec(dim=5, edge_density=0.3, n_add=1, n_remove=0, seed=-1)
 
 

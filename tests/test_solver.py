@@ -235,7 +235,8 @@ class TestProxMaps:
             for call in (lambda: prox_plp(lam, step, 0.5, self.prior_without),
                          lambda: prox_nlp(lam, step, 0.5, s_inv, self.prior_with),
                          lambda: prox_mixed(lam, step, 0.5, 0.5, s_inv, self.prior_with)):
-                with pytest.raises(ValueError, match="^step must be finite and positive$"):
+                message = f"^step must be finite and positive: {step!r}$"
+                with pytest.raises(ValueError, match=message):
                     call()
 
 

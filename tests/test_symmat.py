@@ -420,6 +420,12 @@ class TestSupportOf:
         with pytest.raises(ValueError):
             support_of(SymmetricMatrix.identity(2), -1.0)
 
+    @pytest.mark.parametrize("tol", [np.nan, 10**400], ids=["nan", "int_beyond_float"])
+    def test_tolerance_must_be_finite(self, tol):
+        # A NaN tolerance gave an empty support, and 10**400 an OverflowError.
+        with pytest.raises(ValueError, match="^zero_tol must be finite and positive: "):
+            support_of(SymmetricMatrix.identity(2), tol)
+
 
 def full_array_matrix_text(a, header=None):
     """The matrix file as written before each stored entry was formatted
@@ -435,6 +441,32 @@ packed_matrices = st.integers(1, 8).flatmap(lambda dim: st.lists(
     st.sampled_from([0.0, -0.0]) | st.floats(),
     min_size=dim * (dim + 1) // 2, max_size=dim * (dim + 1) // 2).map(
         lambda packed: SymmetricMatrix(dim, packed)))
+
+
+class TestFullArrays:
+    # The gathers through _full_positions against a loop over the entries.
+    @settings(max_examples=100)
+    @given(packed_matrices)
+    def test_to_array_is_the_mirror_loop(self, a):
+        want = np.empty((a.dim, a.dim))
+        for i in range(a.dim):
+            for j in range(a.dim):
+                want[i, j] = a[max(i, j) + 1, min(i, j) + 1] + 0.0
+        assert a.to_array().tobytes() == want.tobytes()
+
+    def test_to_array_reads_negative_zero_as_zero(self):
+        full = SymmetricMatrix(2, [-0.0, -0.0, 1.0]).to_array()
+        assert full.tolist() == [[0.0, 0.0], [0.0, 1.0]]
+        assert not np.signbit(full).any()
+
+    @settings(max_examples=100)
+    @given(st.integers(1, 8).flatmap(lambda dim: st.lists(
+        st.booleans(), min_size=dim * (dim + 1) // 2, max_size=dim * (dim + 1) // 2)))
+    def test_mask_is_the_membership_loop(self, packed):
+        dim = int(np.sqrt(2 * len(packed)))
+        s = SupportPattern._of_packed(dim, np.array(packed, dtype=bool))
+        want = [[(i, j) in s for j in range(1, dim + 1)] for i in range(1, dim + 1)]
+        assert s.mask().tolist() == want
 
 
 class TestTextFormats:
