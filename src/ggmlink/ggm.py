@@ -64,11 +64,17 @@ RNG_NAME = "numpy-pcg64"
 # allocated.
 MAX_DIM = 2048
 
-# The most sample entries N * dim. Generating a scenario holds the draw, its
-# copy in ObservationSet and, while writing it, a Python float per entry
-# (about 32 bytes): some 0.6 GiB at once at 2**24 entries, 128 MiB per float
-# array. A larger N is rejected before anything of its size is allocated.
+# The most sample entries N * dim. Generating a scenario holds the standard
+# normal draw and its colored product, 128 MiB each at 2**24 entries, and
+# writes the product a block of rows at a time; loading holds the parsed
+# table once. At dim 256 and N 65,536, generate_scenario peaks near 365 MB
+# RSS and load_observations near 200 MB. A larger N is rejected before
+# anything of its size is allocated.
 MAX_SAMPLE_ENTRIES = 2**24
+
+# save_observations turns this many sample entries at a time into Python
+# floats (about 32 bytes each), so writing holds no whole-table text.
+_WRITE_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -106,20 +112,23 @@ class ObservationSet:
     """N i.i.d. zero-mean samples of dimension m, one per row.
 
     The second moment is formed on the first sample_covariance call and
-    shared by the later ones, so the fits of one set form it once.
+    shared by the later ones, so the fits of one set form it once. The
+    constructor copies ``samples``; draw_samples and load_observations hand
+    over the arrays they make (_of_samples), so a table is held once.
     """
 
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 2 or samples.shape[0] < 1:
-            raise ValueError("samples must be a nonempty (N, m) array")
-        if not np.isfinite(samples).all():
-            raise ValueError("non-finite observations: samples hold NaN or inf")
-        samples = samples.copy()
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
+        samples = np.array(self.samples, dtype=np.float64, order="C")  # a copy
+        object.__setattr__(self, "samples", _checked_samples(samples))
+
+    @classmethod
+    def _of_samples(cls, samples: np.ndarray) -> "ObservationSet":
+        """Set that takes over a new float64 array, checked but not copied."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "samples", _checked_samples(samples))
+        return out
 
     @property
     def count(self) -> int:
@@ -135,6 +144,16 @@ class ObservationSet:
         # cached_property takes no lock); the results are bitwise equal.
         x = self.samples
         return SymmetricMatrix(self.dim, _tril_of(x.T @ x / x.shape[0]))
+
+
+def _checked_samples(samples: np.ndarray) -> np.ndarray:
+    """``samples``, made read-only, once it is a finite (N, m) array with N, m >= 1."""
+    if samples.ndim != 2 or 0 in samples.shape:
+        raise ValueError("samples must be a nonempty (N, m) array")
+    if not np.isfinite(samples).all():
+        raise ValueError("non-finite observations: samples hold NaN or inf")
+    samples.setflags(write=False)
+    return samples
 
 
 @dataclass(frozen=True)
@@ -213,8 +232,8 @@ def draw_samples(cov: SymmetricMatrix, n: int, seed: int) -> ObservationSet:
     _check_sample_count(n, cov.dim)
     factor = _factor_or_raise(cov, "draw_samples requires a positive definite covariance")
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, cov.dim))
-    return ObservationSet(samples=z @ factor.T)
+    samples = rng.standard_normal((n, cov.dim)) @ factor.T
+    return ObservationSet._of_samples(samples)
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +263,14 @@ def _draw(rng, pool: SupportPattern, n: int) -> np.ndarray:
 
 def random_model(dim: int, edge_density: float, seed: int) -> GaussianModel:
     """Random sparse PD precision matrix at the requested off-diagonal edge density:
-    the empty graph's model PRECISION_SCALE * I (its structural diagonal is exactly 1,
-    so edge weights are unscaled draws) with that share of the pairs added as edges."""
+    the empty graph's precision PRECISION_SCALE * I (its structural diagonal is
+    exactly 1, so edge weights are unscaled draws) with that share of the pairs
+    added as edges."""
     spec = ScenarioSpec(dim=dim, edge_density=edge_density, n_add=0, n_remove=0, seed=seed)
     n_edges = int(round(edge_density * (dim * (dim - 1) // 2)))
-    empty = GaussianModel(PRECISION_SCALE * SymmetricMatrix.identity(dim))
-    return perturb_model(empty, replace(spec, n_add=n_edges))
+    diagonal = SupportPattern.diagonal(dim)
+    return _perturbed(diagonal.packed().astype(np.float64), diagonal,
+                      replace(spec, n_add=n_edges))
 
 
 def perturb_model(base: GaussianModel, spec: ScenarioSpec) -> GaussianModel:
@@ -258,9 +279,20 @@ def perturb_model(base: GaussianModel, spec: ScenarioSpec) -> GaussianModel:
     inside it; PD restored by the diagonal-dominance repair."""
     if spec.dim != base.dim:
         raise ValueError("scenario dim does not match base model")
+    # Edit in structural (pre-PRECISION_SCALE) units; the repair restores
+    # the diagonal and the scale. The division is bitwise-exact for the
+    # binary-power scale, so kept entries survive the round trip.
+    return _perturbed(base.precision.packed() / PRECISION_SCALE,
+                      base.precision_support, spec)
+
+
+def _perturbed(struct: np.ndarray, support: SupportPattern,
+               spec: ScenarioSpec) -> GaussianModel:
+    """perturb_model on a base given by its structural packed precision, which
+    this edits in place, and its support."""
     diagonal = SupportPattern.diagonal(spec.dim)
-    absent = base.precision_support.complement().minus(diagonal)
-    present = base.precision_support.minus(diagonal)
+    absent = support.complement().minus(diagonal)
+    present = support.minus(diagonal)
     if spec.n_add > len(absent):
         raise ValueError(
             f"cannot add {spec.n_add} edges: only {len(absent)} absent pairs")
@@ -268,18 +300,16 @@ def perturb_model(base: GaussianModel, spec: ScenarioSpec) -> GaussianModel:
         raise ValueError(
             f"cannot remove {spec.n_remove} edges: only {len(present)} present")
     rng = np.random.default_rng(spec.seed)
-    # Edit in structural (pre-PRECISION_SCALE) units; the repair restores
-    # the diagonal and the scale. The division is bitwise-exact for the
-    # binary-power scale, so kept entries survive the round trip.
-    struct = base.precision.packed() / PRECISION_SCALE
     scale = float(np.mean(struct[diagonal.packed()]))
     added = _draw(rng, absent, spec.n_add)
     lo, hi = EDGE_WEIGHT_RANGE
     u = rng.random((spec.n_add, 2))  # per edge, the magnitude draw, then the sign draw
     struct[added] = scale * (lo + (hi - lo) * u[:, 0]) * np.where(u[:, 1] < 0.5, 1, -1)
     struct[_draw(rng, present, spec.n_remove)] = 0.0
-    full = SymmetricMatrix(spec.dim, struct).to_array()
-    return GaussianModel(SymmetricMatrix.from_array(_dominant_diagonal(full)))
+    full = SymmetricMatrix._of_packed(spec.dim, struct).to_array()
+    # The repair keeps the array exactly symmetric, so it needs no check.
+    return GaussianModel(SymmetricMatrix._of_packed(
+        spec.dim, _tril_of(_dominant_diagonal(full))))
 
 
 # ---------------------------------------------------------------------------
@@ -327,23 +357,36 @@ def load_support(directory, prefix: str) -> SupportPattern:
 
 
 def save_observations(obs: ObservationSet, path) -> None:
+    """One row of element reprs per sample, a block of rows at a time."""
+    samples = obs.samples
+    rows = max(1, _WRITE_BLOCK_ENTRIES // obs.dim)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in obs.samples.tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
+        for start in range(0, obs.count, rows):
+            fh.writelines(",".join(map(repr, row)) + "\n"
+                          for row in samples[start:start + rows].tolist())
 
 
 def load_observations(path) -> ObservationSet:
     """The samples in the CSV at ``path``; a ValueError names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        # Empty input is caught here: loadtxt only warns, and silencing that
-        # warning edits the process-wide filters that sweep threads share.
-        # With comments off, any other text parses to rows or raises.
-        if not text.strip():
-            raise ValueError("no observations")
-        return ObservationSet(np.loadtxt(text.splitlines(), delimiter=",",
-                                         ndmin=2, comments=None))
+            try:
+                # Empty input is caught here: loadtxt only warns, and silencing
+                # that warning edits the process-wide filters that sweep threads
+                # share. With comments off, any other text parses to rows or raises.
+                while (head := fh.read(1)).isspace():
+                    pass
+                if not head:
+                    raise ValueError("no observations")
+                fh.seek(0)
+                return ObservationSet._of_samples(np.loadtxt(
+                    fh, delimiter=",", ndmin=2, comments=None))
+            except UnicodeDecodeError:
+                # A streamed decode counts a bad byte from the start of its
+                # chunk; decoding the whole file counts it from the file's.
+                fh.seek(0)
+                fh.read()
+                raise
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

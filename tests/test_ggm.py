@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,10 @@ class TestSampleCovariance:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ObservationSet(samples=np.zeros((0, 3)))
+
+    def test_no_columns_rejected(self):
+        with pytest.raises(ValueError, match=r"nonempty \(N, m\) array"):
+            ObservationSet(samples=np.zeros((3, 0)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
@@ -200,6 +205,16 @@ class TestRandomModel:
         res = model.covariance.to_array() @ model.precision.to_array() - np.eye(7)
         assert np.linalg.norm(res) < 1e-10
 
+    def test_factors_only_the_model_it_returns(self, monkeypatch):
+        # The empty graph is edited as a packed triangle, not built as a
+        # model of its own: one Cholesky per call.
+        calls = []
+        factor_or_raise = ggm._factor_or_raise
+        monkeypatch.setattr(ggm, "_factor_or_raise", lambda *args: (
+            calls.append(args[0].dim) or factor_or_raise(*args)))
+        random_model(12, 0.3, seed=8)
+        assert calls == [12]
+
 
 class TestPerturbModel:
     def test_no_change_keeps_support(self):
@@ -250,7 +265,9 @@ class TestGenerationPinned:
     digests: the desk scenario shapes for seeds 0-19 and one dim-400 scale
     instance, with the seeds that generate_scenario derives. A change to the
     pool order, the order of the draws or the repair fails here, not in a
-    benchmark reference or a byte-compared artifact."""
+    benchmark reference or a byte-compared artifact. The models'
+    covariances and 300 samples drawn from each truth are pinned the same
+    way."""
 
     @pytest.mark.parametrize("dim, density, n_add, n_remove, seeds, digest", [
         (10, 0.25, 3, 0, range(20),
@@ -269,6 +286,31 @@ class TestGenerationPinned:
             for model in (prior, truth):
                 sha.update(model.precision.packed().astype("<f8").tobytes())
         assert sha.hexdigest() == digest
+
+    @pytest.mark.parametrize("dim, density, n_add, n_remove, seeds, covariances, samples", [
+        (10, 0.25, 3, 0, range(20),
+         "5d08564d35a320f68a48b97b9e741c944ce9c668ac5115b43102c5fffa0b35ab",
+         "029dcbc62fe4985fce7dc2f22c1246ee0f587e309c76cab08c810c726fbe1bbf"),
+        (10, 0.10, 0, 3, range(20),
+         "3a43a6e603f1c5ca5629ece1c8292b67c9905c63b7d8fe75047a4a9a2ed463b8",
+         "60c8af223dd5f40f9c08e1bc773fe59e9c3e4184c111af6ae304f968016618a5"),
+        (400, 3 / 400, 3, 3, [0],
+         "96fcf64947249081e3e12009e7d47a2124abcd5ed69b21db11613dc3e829aae4",
+         "ac17c128fc93a68569fc1222a4d6f40d74f695f46a753bf9907df17f04b7fe20"),
+    ], ids=["desk_plp", "desk_nlp", "scale"])
+    def test_covariances_and_samples_match_recorded_digests(
+            self, dim, density, n_add, n_remove, seeds, covariances, samples):
+        cov_sha, sample_sha = hashlib.sha256(), hashlib.sha256()
+        for seed in seeds:
+            prior, truth, _ = make_instance(seed, dim=dim, density=density,
+                                            n_add=n_add, n_remove=n_remove)
+            for model in (prior, truth):
+                cov_sha.update(model.covariance.packed().astype("<f8").tobytes())
+            obs_seed = int(np.random.SeedSequence(seed).generate_state(3)[2])
+            obs = draw_samples(truth.covariance, 300, obs_seed)
+            sample_sha.update(obs.samples.astype("<f8").tobytes())
+        assert cov_sha.hexdigest() == covariances
+        assert sample_sha.hexdigest() == samples
 
 
 class TestRelativeError:
@@ -369,6 +411,49 @@ class TestSerialization:
                        for row in obs.samples)
         assert path.read_text() == want
 
+    def test_observations_written_block_by_block_as_row_reprs(self, tmp_path):
+        # Rows of 7 entries over several write blocks, which 7 does not
+        # divide, with values whose reprs take every float format.
+        m = 7
+        assert ggm._WRITE_BLOCK_ENTRIES % m
+        x = np.random.default_rng(3).standard_normal(
+            (3 * (ggm._WRITE_BLOCK_ENTRIES // m) + 5, m))
+        x[0, :4] = [-0.0, 1e-05, 1e+16, 5e-324]
+        x[-1, -4:] = [5e-324, 1e+16, 1e-05, -0.0]
+        path = tmp_path / "obs.csv"
+        ggm.save_observations(ObservationSet(samples=x), path)
+        want = "".join(",".join(map(repr, row)) + "\n" for row in x.tolist())
+        assert path.read_bytes() == want.encode()
+
+    @staticmethod
+    def _traced_peak(call):
+        """Peak of traced allocations during ``call()`` above those before it."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture
+    def table(self, tmp_path):
+        """A 40,000 x 8 set (2.56 MB of float64) and its file."""
+        obs = ObservationSet(samples=np.random.default_rng(9).standard_normal((40_000, 8)))
+        path = tmp_path / "obs.csv"
+        ggm.save_observations(obs, path)
+        return obs, path
+
+    def test_writing_observations_takes_under_two_tables_of_memory(self, table):
+        # Writing holds one block of rows as Python floats at a time.
+        obs, path = table
+        assert self._traced_peak(lambda: ggm.save_observations(obs, path)) < 2 * obs.samples.nbytes
+
+    def test_reading_observations_takes_under_two_tables_of_memory(self, table):
+        # Reading holds the parsed table and a bounded read buffer.
+        obs, path = table
+        assert self._traced_peak(lambda: ggm.load_observations(path)) < 2 * obs.samples.nbytes
+
     def test_observations_round_trip(self, tmp_path, rng):
         cov = random_pd(4, rng)
         obs = draw_samples(cov, 17, seed=13)
@@ -376,6 +461,29 @@ class TestSerialization:
         ggm.save_observations(obs, path)
         loaded = ggm.load_observations(path)
         np.testing.assert_array_equal(loaded.samples, obs.samples)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_observation_rows_end_like_matrix_rows(self, tmp_path, end):
+        path = tmp_path / "obs.csv"
+        path.write_bytes(f"1.5,2{end}3,-4e-3{end}".encode())
+        loaded = ggm.load_observations(path)
+        np.testing.assert_array_equal(loaded.samples, [[1.5, 2.0], [3.0, -4e-3]])
+
+    def test_form_feed_does_not_end_an_observation_row(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_bytes(b"1,2\x0c3,4\n")
+        with pytest.raises(ValueError, match=r"obs.csv: could not convert string '2\\x0c3'"):
+            ggm.load_observations(path)
+
+    def test_bad_byte_is_placed_in_the_whole_file(self, tmp_path):
+        # The rows span several decode chunks; the message counts the bad
+        # byte's position from the start of the file, not of its chunk.
+        path = tmp_path / "obs.csv"
+        rows = b"1.25,-2.5\n" * 20_000
+        path.write_bytes(rows + b"\xff\n")
+        with pytest.raises(ValueError, match=(
+                rf"obs.csv: 'utf-8' codec can't decode byte 0xff in position {len(rows)}:")):
+            ggm.load_observations(path)
 
     def test_metadata_round_trip(self, tmp_path):
         meta = {"dim": 5, "seed": 3, "edge_density": 0.25, "label": "x"}
